@@ -168,7 +168,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     cfg = SamplerConfig(float(temp), int(k), float(top_p), float(min_p), seed)
                     result = generate(model, cfg, prompt, max_len=max_len, capacity=capacity)
                     finals = [t.final for t in result.traces]
-                    mean_entropy = float(np.mean([entropy(f.distribution()) for f in finals]))
+                    mean_entropy = float(np.mean([entropy(f) for f in finals]))
                     mean_survivors = float(np.mean([f.survivor_count for f in finals]))
                     rows.append(
                         [
@@ -311,7 +311,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     _setup_logging()
     try:
-        return args.func(args)
+        # A tiny temperature or logits near the float range overflow to -inf
+        # before exp(), which maps them to mass 0 as intended: not worth a warning.
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except ModelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -40,6 +40,12 @@ class ModelFormatError(ValueError):
     """A persisted model file does not match the expected schema or version."""
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ModelFormatError(f"{what} must be a JSON object (got {type(value).__name__})")
+    return value
+
+
 def tokenize(text: str, alphabet: TokenAlphabet | None = None) -> tuple[TokenId, ...]:
     """Map text to token ids, one per character (a total function).
 
@@ -157,16 +163,16 @@ class NGramModel:
             alphabet = TokenAlphabet(tuple(d["alphabet"]["symbols"]), int(d["alphabet"]["eos_index"]))
             size = alphabet.size
             tables: dict[int, dict[tuple[TokenId, ...], np.ndarray]] = {m: {} for m in range(1, order + 1)}
-            for m_str, level in d["counts"].items():
+            for m_str, level in _json_object(d["counts"], "counts").items():
                 m = int(m_str)
                 if not 1 <= m <= order:
                     raise ModelFormatError(f"count table order {m} outside 1..{order}")
-                for key, sparse in level.items():
+                for key, sparse in _json_object(level, f"count table {m_str!r}").items():
                     ctx = tuple(int(t) for t in key.split(",")) if key else ()
                     if len(ctx) != m - 1 or any(not 0 <= t < size for t in ctx):
                         raise ModelFormatError(f"bad context key {key!r} for order {m}")
                     arr = np.zeros(size, dtype=np.int64)
-                    for tok_str, count in sparse.items():
+                    for tok_str, count in _json_object(sparse, f"counts of context {key!r}").items():
                         tok, count = int(tok_str), int(count)
                         if not 0 <= tok < size or count < 0:
                             raise ModelFormatError(f"bad count entry {tok_str!r}: {count!r}")

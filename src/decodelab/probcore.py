@@ -91,14 +91,20 @@ def as_logits(values: Sequence[float] | np.ndarray) -> np.ndarray:
     z = np.asarray(values, dtype=np.float64)
     if z.ndim != 1 or z.size == 0:
         raise ValueError(f"logits must form a non-empty 1-D vector (got shape {z.shape})")
-    if not np.all(np.isfinite(z)):
+    if not np.logical_and.reduce(np.isfinite(z)):  # the ufunc skips ndarray.all's Python wrapper
         raise ValueError("logits must be finite (no NaN or infinities)")
     return z
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
+
+
+@lru_cache(maxsize=64)
+def token_ids(size: int) -> np.ndarray:
+    """The read-only index map ``[0, 1, ..., size-1]`` of a full distribution."""
+    return _freeze(np.arange(size, dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +141,10 @@ class ProbabilityDistribution:
     @classmethod
     def _unchecked(cls, masses: np.ndarray, index_map: np.ndarray) -> "ProbabilityDistribution":
         # Hot-path constructor: callers guarantee the invariants.
+        masses.setflags(write=False)
+        index_map.setflags(write=False)
         self = object.__new__(cls)
-        object.__setattr__(self, "masses", _freeze(masses))
-        object.__setattr__(self, "index_map", _freeze(index_map))
+        self.__dict__.update(masses=masses, index_map=index_map)
         return self
 
     def __len__(self) -> int:
@@ -175,9 +182,18 @@ def softmax(z: Sequence[float] | np.ndarray, temperature: float) -> ProbabilityD
     z = as_logits(z)
     if temperature <= 0:
         raise ValueError(f"temperature must be > 0 for softmax (got {temperature!r}); T = 0 means argmax mode")
-    e = np.exp((z - z.max()) / temperature)
-    p = e / e.sum()
-    return ProbabilityDistribution._unchecked(p, np.arange(p.size, dtype=np.int64))
+    return ProbabilityDistribution._unchecked(softmax_masses(z, temperature), token_ids(z.size))
+
+
+def softmax_masses(z: np.ndarray, temperature: float) -> np.ndarray:
+    """The masses of :func:`softmax` for logits already checked by :func:`as_logits`.
+
+    This is the one implementation of the softmax arithmetic; the sampler's
+    kernel calls it directly so that each logit vector is checked once.
+    """
+    e = np.exp((z - np.maximum.reduce(z)) / temperature)
+    e /= np.add.reduce(e)
+    return e
 
 
 def argmax_onehot(dist: ProbabilityDistribution) -> TokenId:
@@ -190,7 +206,11 @@ def argmax_onehot(dist: ProbabilityDistribution) -> TokenId:
 
 
 def entropy(dist: ProbabilityDistribution) -> float:
-    """Shannon entropy ``H = -sum_i P_i ln P_i`` in nats, with 0 ln 0 = 0."""
+    """Shannon entropy ``H = -sum_i P_i ln P_i`` in nats, with 0 ln 0 = 0.
+
+    Only ``dist.masses`` is read, so a sampler ``StageRecord`` can be passed
+    as is.
+    """
     p = dist.masses
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * np.log(p), 0.0)

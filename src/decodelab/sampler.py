@@ -38,9 +38,10 @@ import numpy as np
 from .probcore import (
     ProbabilityDistribution,
     TokenId,
-    argmax_onehot,
     as_logits,
-    softmax,
+    softmax,  # noqa: F401  (re-exported: perfbench's tracer wraps sampler.softmax)
+    softmax_masses,
+    token_ids,
 )
 
 STAGE_SOFTMAX = "after-softmax"
@@ -135,15 +136,20 @@ class StageRecord:
     index_map: np.ndarray
 
     def distribution(self) -> ProbabilityDistribution:
-        """The recorded survivor set as a validated distribution."""
+        """The recorded survivor set as a validated distribution.
+
+        Each call re-validates the masses and the index map, so this is meant
+        for checks and inspection, not for hot loops; read ``masses`` and
+        ``index_map`` directly there.
+        """
         return ProbabilityDistribution(self.masses, self.index_map)
 
     def to_json_dict(self) -> dict:
         return {
             "stage": self.stage,
             "survivor_count": self.survivor_count,
-            "masses": [float(x) for x in self.masses],
-            "index_map": [int(i) for i in self.index_map],
+            "masses": self.masses.tolist(),
+            "index_map": self.index_map.tolist(),
         }
 
     @classmethod
@@ -208,19 +214,14 @@ def sort_descending(dist: ProbabilityDistribution) -> ProbabilityDistribution:
     return ProbabilityDistribution._unchecked(dist.masses[order], dist.index_map[order])
 
 
-def _renorm(masses: np.ndarray, index_map: np.ndarray) -> ProbabilityDistribution:
-    # Internal fast renormalization; callers guarantee a positive total.
-    return ProbabilityDistribution._unchecked(masses / masses.sum(), index_map)
-
-
 def top_k_filter(sorted_dist: ProbabilityDistribution, k: int) -> ProbabilityDistribution:
     """Keep the first ``min(k, n)`` entries of a descending-sorted distribution."""
     if k < 1:
         raise ValueError(f"top_k must satisfy k >= 1 (got {k})")
-    n = len(sorted_dist)
-    if k >= n:
+    if k >= sorted_dist.masses.size:
         return sorted_dist
-    return _renorm(sorted_dist.masses[:k], sorted_dist.index_map[:k])
+    kept = sorted_dist.masses[:k]
+    return ProbabilityDistribution._unchecked(kept / np.add.reduce(kept), sorted_dist.index_map[:k])
 
 
 def top_p_filter(sorted_dist: ProbabilityDistribution, top_p: float) -> ProbabilityDistribution:
@@ -231,13 +232,13 @@ def top_p_filter(sorted_dist: ProbabilityDistribution, top_p: float) -> Probabil
     descending and normalized.
     """
     masses = sorted_dist.masses
-    cum = np.cumsum(masses)
-    cut = int(np.searchsorted(cum, top_p, side="left"))
-    if cut >= masses.size:  # cumulative total fell short of top_p by rounding
-        cut = masses.size - 1
-    if cut == masses.size - 1:
+    # Searching past the last entry (the total fell short of top_p by
+    # rounding) keeps everything, as does a crossing at the last entry.
+    cut = int(np.add.accumulate(masses).searchsorted(top_p)) + 1
+    if cut >= masses.size:
         return sorted_dist
-    return _renorm(masses[: cut + 1], sorted_dist.index_map[: cut + 1])
+    kept = masses[:cut]
+    return ProbabilityDistribution._unchecked(kept / np.add.reduce(kept), sorted_dist.index_map[:cut])
 
 
 def min_p_filter(dist: ProbabilityDistribution, min_p: float) -> ProbabilityDistribution:
@@ -250,29 +251,32 @@ def min_p_filter(dist: ProbabilityDistribution, min_p: float) -> ProbabilityDist
     samplers elsewhere scale the floor by the maximum mass, this one does
     not.
     """
-    masses = dist.masses
-    keep = masses >= min_p
-    if not keep.any():
-        best = np.flatnonzero(masses == masses.max())
-        pos = best[np.argmin(dist.index_map[best])]
-        return ProbabilityDistribution._unchecked(
-            np.ones(1, dtype=np.float64), dist.index_map[pos : pos + 1].copy()
-        )
-    if keep.all():
+    if min_p == 0.0:  # masses are non-negative: everything survives
         return dist
-    return _renorm(masses[keep], dist.index_map[keep])
+    masses, index_map = dist.masses, dist.index_map
+    keep = masses >= min_p
+    survivors = np.count_nonzero(keep)
+    if survivors == masses.size:
+        return dist
+    if survivors == 0:
+        best = (masses == np.maximum.reduce(masses)).nonzero()[0]
+        pos = best[index_map[best].argmin()]
+        return ProbabilityDistribution._unchecked(np.array([1.0]), index_map[pos : pos + 1])
+    kept = masses[keep]
+    return ProbabilityDistribution._unchecked(kept / np.add.reduce(kept), index_map[keep])
 
 
-def _draw(dist: ProbabilityDistribution, rng: RandomStream) -> tuple[TokenId, float]:
+def _inverse_cdf(masses: np.ndarray, index_map: np.ndarray, u: float) -> TokenId:
     # Restore ascending original token order before the cumulative sum, then
     # return the first index whose cumulative mass exceeds the uniform.
-    order = np.argsort(dist.index_map)
-    cum = np.cumsum(dist.masses[order])
-    u = rng.next_uniform()
-    pos = int(np.searchsorted(cum, u, side="right"))
+    if masses.size == 1:
+        return int(index_map[0])
+    order = index_map.argsort()
+    cum = np.add.accumulate(masses[order])
+    pos = int(cum.searchsorted(u, "right"))
     if pos >= cum.size:  # u beyond a rounded-down total
         pos = cum.size - 1
-    return int(dist.index_map[order[pos]]), u
+    return int(index_map[order[pos]])
 
 
 def draw(dist: ProbabilityDistribution, rng: RandomStream) -> TokenId:
@@ -282,12 +286,23 @@ def draw(dist: ProbabilityDistribution, rng: RandomStream) -> TokenId:
     cumulative summation; exactly one uniform is consumed per draw, so the
     outcome is fully determined by the stream's seed and position.
     """
-    token, _ = _draw(dist, rng)
-    return token
+    return _inverse_cdf(dist.masses, dist.index_map, rng.next_uniform())
 
 
-def _record(stage: str, dist: ProbabilityDistribution) -> StageRecord:
-    return StageRecord(stage, len(dist), dist.masses, dist.index_map)
+# Hot-path constructors for the frozen trace dataclasses: the kernel passes
+# read-only arrays and well-typed values, so __init__ is skipped.
+
+
+def _record(stage: str, masses: np.ndarray, index_map: np.ndarray) -> StageRecord:
+    record = object.__new__(StageRecord)
+    record.__dict__.update(stage=stage, survivor_count=masses.size, masses=masses, index_map=index_map)
+    return record
+
+
+def _trace(stages: tuple[StageRecord, ...], token: TokenId, u: float | None, argmax_mode: bool) -> SampleTrace:
+    trace = object.__new__(SampleTrace)
+    trace.__dict__.update(stages=stages, drawn_token=token, drawn_uniform=u, argmax_mode=argmax_mode)
+    return trace
 
 
 def run_pipeline(
@@ -309,34 +324,34 @@ def run_pipeline(
     switch for large sweeps) without changing any computed value or the
     random stream position.
     """
+    z = as_logits(z)
     if cfg.temperature == 0.0:
-        p = softmax(z, 1.0)
-        token = argmax_onehot(p)
+        p = softmax_masses(z, 1.0)
+        token = int(p.argmax())  # the first maximum: ties go to the lowest index
         if not want_trace:
             return token, None
-        trace = SampleTrace(
-            stages=(_record(STAGE_SOFTMAX, p),),
-            drawn_token=token,
-            drawn_uniform=None,
-            argmax_mode=True,
-        )
-        return token, trace
+        p.setflags(write=False)
+        return token, _trace((_record(STAGE_SOFTMAX, p, token_ids(p.size)),), token, None, True)
 
-    p0 = softmax(z, cfg.temperature)
-    p1 = top_k_filter(sort_descending(p0), cfg.top_k)
+    p = softmax_masses(z, cfg.temperature)
+    # The index map is 0..D-1 here, so a stable sort of -p orders ties by
+    # ascending token index, exactly as sort_descending does.
+    order = (-p).argsort(kind="stable")
+    ranked = ProbabilityDistribution._unchecked(p[order], order)
+    # Each truncation stays one call of its public stage function, so its
+    # arithmetic exists once and a tracer can count its calls and no-ops.
+    p1 = top_k_filter(ranked, cfg.top_k)
     p2 = top_p_filter(p1, cfg.top_p)
     p3 = min_p_filter(p2, cfg.min_p)
-    token, u = _draw(p3, rng)
+    u = rng.next_uniform()
+    token = _inverse_cdf(p3.masses, p3.index_map, u)
     if not want_trace:
         return token, None
-    trace = SampleTrace(
-        stages=(
-            _record(STAGE_SOFTMAX, p0),
-            _record(STAGE_TOP_K, p1),
-            _record(STAGE_TOP_P, p2),
-            _record(STAGE_MIN_P, p3),
-        ),
-        drawn_token=token,
-        drawn_uniform=u,
+    p.setflags(write=False)
+    stages = (
+        _record(STAGE_SOFTMAX, p, token_ids(p.size)),
+        _record(STAGE_TOP_K, p1.masses, p1.index_map),
+        _record(STAGE_TOP_P, p2.masses, p2.index_map),
+        _record(STAGE_MIN_P, p3.masses, p3.index_map),
     )
-    return token, trace
+    return token, _trace(stages, token, u, False)

@@ -2,10 +2,13 @@
 
 import csv
 import json
+import warnings
+from pathlib import Path
 
 import pytest
+from test_sampler import reference_run_pipeline
 
-from decodelab import NGramModel, default_alphabet, derive_seed
+from decodelab import NGramModel, ProbabilityDistribution, autoregress, cli, default_alphabet, derive_seed, entropy
 from decodelab.cli import EXIT_FORMAT, EXIT_OK, EXIT_USAGE, SIM_CSV_HEADER, SWEEP_CSV_HEADER, main
 
 A = default_alphabet()
@@ -92,6 +95,36 @@ class TestGenerate:
     def test_missing_model_is_a_usage_error(self, tmp_path):
         assert main(["generate", str(tmp_path / "absent.json")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda counts: [],  # the whole count table is a list
+            lambda counts: {**counts, "1": []},  # one order's level is a list
+            lambda counts: {**counts, "1": {"": [3, 1]}},  # one context's entry is a list
+        ],
+        ids=["counts", "level", "context"],
+    )
+    def test_count_table_that_is_a_list_is_a_format_error(self, tmp_path, model_file, capsys, mangle):
+        doc = json.loads(model_file.read_text(encoding="utf-8"))
+        doc["counts"] = mangle(doc["counts"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["generate", str(bad)]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be a JSON object" in err
+        assert "Traceback" not in err
+
+    def test_tiny_temperature_leaves_stderr_empty(self, tmp_path, model_file, capsys):
+        # exp() of (z - max) / 1e-320 overflows to -inf on the way to mass 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["generate", str(model_file), "--temp", "1e-320", "--max-len", "8"]) == EXIT_OK
+            assert main([
+                "sweep", str(model_file), "--temps", "1e-320", "--max-len", "8",
+                "--csv-out", str(tmp_path / "s.csv"),
+            ]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_trace_file_is_deterministic(self, tmp_path, model_file):
         t1, t2 = tmp_path / "t1.json", tmp_path / "t2.json"
         base = ["generate", str(model_file), "--prompt", "cat", "--seed", "8", "--max-len", "15"]
@@ -177,6 +210,36 @@ class TestSweep:
     def test_missing_csv_out_is_a_usage_error(self, model_file, capsys):
         assert main(["sweep", str(model_file)]) == EXIT_USAGE
         assert "csv_out" in capsys.readouterr().err
+
+
+class TestKernelByteIdentity:
+    """The shipped kernel against the frozen reference pipeline (tests/test_sampler.py),
+    through the CLI: every artifact byte must match."""
+
+    @staticmethod
+    def _artifacts(tmp_path, model_file, capsys, monkeypatch, tag):
+        (tmp_path / tag).mkdir()
+        monkeypatch.chdir(tmp_path / tag)  # stdout names the CSV path: keep it the same
+        trace, table = Path("trace.json"), Path("sweep.csv")
+        assert main([
+            "generate", str(model_file), "--prompt", "the ", "--seed", "11", "--max-len", "80",
+            "--top-k", "12", "--top-p", "0.9", "--min-p", "0.05", "--trace-out", str(trace),
+        ]) == EXIT_OK
+        assert main([
+            "sweep", str(model_file), "--prompt", "cat", "--temps", "0", "0.6", "1.4", "--top-ks", "3", "40",
+            "--top-ps", "0.8", "1", "--min-ps", "0", "0.08", "0.6", "--max-len", "30", "--seed", "5",
+            "--csv-out", str(table),
+        ]) == EXIT_OK
+        return trace.read_bytes(), table.read_bytes(), capsys.readouterr().out
+
+    def test_generate_trace_and_sweep_csv_match_the_reference(self, tmp_path, model_file, capsys, monkeypatch):
+        shipped = self._artifacts(tmp_path, model_file, capsys, monkeypatch, "shipped")
+        with monkeypatch.context() as m:
+            m.setattr(autoregress, "run_pipeline", reference_run_pipeline)
+            # the sweep's entropy as it was taken before: from a validated distribution
+            m.setattr(cli, "entropy", lambda f: entropy(ProbabilityDistribution(f.masses, f.index_map)))
+            reference = self._artifacts(tmp_path, model_file, capsys, m, "reference")
+        assert shipped == reference
 
 
 class TestSimulate:

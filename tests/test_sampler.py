@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,6 +16,7 @@ from decodelab import (
     RandomStream,
     SampleTrace,
     SamplerConfig,
+    StageRecord,
     derive_seed,
     draw,
     full_distribution,
@@ -359,3 +360,143 @@ class TestTraceSerialization:
         clone = SampleTrace.from_json(trace.to_json())
         assert clone.argmax_mode
         assert clone.drawn_uniform is None
+
+
+# -- Frozen reference pipeline ------------------------------------------------
+#
+# The staged pipeline as it stood before run_pipeline became one array-level
+# pass: validated softmax, lexsort sort, boolean-mask truncation stages that
+# renormalize with ndarray.sum, and a draw that re-sorts by token index.  The
+# kernel must reproduce it bit for bit: tokens, trace JSON and RNG position.
+
+
+def _reference_renorm(masses, index_map):
+    return masses / masses.sum(), index_map
+
+
+def reference_run_pipeline(z, cfg, rng, *, want_trace=True):
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1 or z.size == 0:
+        raise ValueError("logits must form a non-empty 1-D vector")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("logits must be finite (no NaN or infinities)")
+
+    def soft(temperature):
+        e = np.exp((z - z.max()) / temperature)
+        return e / e.sum(), np.arange(z.size, dtype=np.int64)
+
+    def record(stage, masses, index_map):
+        return StageRecord(stage, int(masses.size), masses, index_map)
+
+    if cfg.temperature == 0.0:
+        p, idx = soft(1.0)
+        token = int(idx[np.flatnonzero(p == p.max())].min())
+        if not want_trace:
+            return token, None
+        return token, SampleTrace((record(STAGE_SOFTMAX, p, idx),), token, None, argmax_mode=True)
+
+    p0, i0 = soft(cfg.temperature)
+    order = np.lexsort((i0, -p0))
+    m1, i1 = p0[order], i0[order]
+    if cfg.top_k < m1.size:
+        m1, i1 = _reference_renorm(m1[: cfg.top_k], i1[: cfg.top_k])
+    cum = np.cumsum(m1)
+    cut = int(np.searchsorted(cum, cfg.top_p, side="left"))
+    if cut >= m1.size:
+        cut = m1.size - 1
+    m2, i2 = m1, i1
+    if cut != m1.size - 1:
+        m2, i2 = _reference_renorm(m1[: cut + 1], i1[: cut + 1])
+    keep = m2 >= cfg.min_p
+    m3, i3 = m2, i2
+    if not keep.any():
+        best = np.flatnonzero(m2 == m2.max())
+        pos = best[np.argmin(i2[best])]
+        m3, i3 = np.ones(1, dtype=np.float64), i2[pos : pos + 1].copy()
+    elif not keep.all():
+        m3, i3 = _reference_renorm(m2[keep], i2[keep])
+    back = np.argsort(i3)
+    cum = np.cumsum(m3[back])
+    u = rng.next_uniform()
+    pos = int(np.searchsorted(cum, u, side="right"))
+    if pos >= cum.size:
+        pos = cum.size - 1
+    token = int(i3[back[pos]])
+    if not want_trace:
+        return token, None
+    stages = (
+        record(STAGE_SOFTMAX, p0, i0),
+        record(STAGE_TOP_K, m1, i1),
+        record(STAGE_TOP_P, m2, i2),
+        record(STAGE_MIN_P, m3, i3),
+    )
+    return token, SampleTrace(stages, token, u)
+
+
+_tie_prone = st.sampled_from([0.0, 1.0, -1.0, 2.5, -40.0, 700.0, -700.0])
+_wide = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+_extreme = st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 5e-324])
+differential_logits = st.integers(min_value=1, max_value=64).flatmap(
+    lambda d: arrays(np.float64, d, elements=st.one_of(_tie_prone, _wide, _extreme))
+)
+differential_configs = st.builds(
+    SamplerConfig,
+    temperature=st.one_of(
+        st.just(0.0),
+        st.sampled_from([5e-324, 1e-320, 1e-300, 1e-12]),
+        st.floats(min_value=0.01, max_value=100.0),
+    ),
+    top_k=st.integers(min_value=1, max_value=70),
+    top_p=st.one_of(st.just(1.0), st.floats(min_value=1e-6, max_value=1.0, exclude_min=True)),
+    min_p=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.999)),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+
+
+class TestKernelMatchesReference:
+    """run_pipeline against the frozen reference: exact token, trace bytes and stream position."""
+
+    @staticmethod
+    def _both(z, cfg, want_trace):
+        ours_rng, ref_rng = RandomStream(cfg.seed), RandomStream(cfg.seed)
+        with np.errstate(over="ignore"):
+            ours = run_pipeline(z, cfg, ours_rng, want_trace=want_trace)
+            ref = reference_run_pipeline(z, cfg, ref_rng, want_trace=want_trace)
+        return ours, ref, ours_rng.next_uniform(), ref_rng.next_uniform()
+
+    @settings(max_examples=400)
+    @given(differential_logits, differential_configs, st.booleans())
+    def test_same_token_trace_bytes_and_stream_position(self, z, cfg, want_trace):
+        (token, trace), (ref_token, ref_trace), pos, ref_pos = self._both(z, cfg, want_trace)
+        assert token == ref_token
+        assert pos == ref_pos
+        if want_trace:
+            assert trace.to_json() == ref_trace.to_json()
+            assert all(not s.masses.flags.writeable and not s.index_map.flags.writeable for s in trace.stages)
+        else:
+            assert trace is None and ref_trace is None
+
+    @pytest.mark.parametrize(
+        "z, cfg",
+        [
+            (np.zeros(7), SamplerConfig(1.0, 7, 1.0, 0.5, seed=3)),  # flat: min-p falls back to token 0
+            (np.array([1.0, 3.0, 3.0, 0.0]), SamplerConfig(1.0, 10, 1.0, 0.9, seed=4)),  # tied maxima
+            (np.array([0.0, 1e308, -1e308]), SamplerConfig(1e-320, 2, 1.0, 0.0, seed=5)),  # extreme logits
+            (np.array([2.0]), SamplerConfig(0.7, 1, 0.5, 0.3, seed=6)),  # one token
+            (np.linspace(1.0, -1.0, 40), SamplerConfig(0.8, 64, 1.0, 0.0, seed=7)),  # every stage a no-op
+            (np.linspace(3.0, -3.0, 40), SamplerConfig(0.0, 5, 0.5, 0.2, seed=8)),  # argmax mode
+        ],
+    )
+    def test_edge_paths(self, z, cfg):
+        for want_trace in (True, False):
+            (token, trace), (ref_token, ref_trace), pos, ref_pos = self._both(z, cfg, want_trace)
+            assert (token, pos) == (ref_token, ref_pos)
+            if want_trace:
+                assert trace.to_json() == ref_trace.to_json()
+
+    def test_rejects_what_the_reference_rejects(self):
+        for bad in ([], [[1.0, 2.0]], [0.0, float("nan")], [float("inf"), 0.0]):
+            with pytest.raises(ValueError):
+                run_pipeline(bad, SamplerConfig(1.0, 3), RandomStream(0))
+            with pytest.raises(ValueError):
+                reference_run_pipeline(bad, SamplerConfig(1.0, 3), RandomStream(0))
