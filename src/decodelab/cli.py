@@ -5,16 +5,22 @@ repeated invocations produce byte-identical stdout and artifacts.  Exit
 codes are a stable contract: 0 success, 2 usage or configuration error,
 3 data-format error (e.g. a model file with the wrong format version).
 
-Flags override values from an optional JSON config file (``--config``,
-keys named like the flag destinations), which in turn override built-in
-defaults.  The only environment variable read is ``DECODELAB_LOG``
-(debug/info/warning/error), controlling log verbosity.
+Each parameter is declared once, in ``_PARAMS``, with its type, default
+and help text; its flag (``--max-len``), its config-file key (``max_len``)
+and the default shown by ``--help`` all come from that one entry.  Flags
+override values from an optional JSON config file (``--config``), which in
+turn override the defaults.  A config value must have its flag's JSON type:
+an integer for an integer flag, any number for a float flag, a string for a
+text flag and a non-empty list for a grid flag.  The only environment
+variable read is ``DECODELAB_LOG`` (debug/info/warning/error), controlling
+log verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import os
@@ -38,105 +44,134 @@ SIM_CSV_HEADER = ["k", "trial", "freeze_index", "mean_novelty"]
 
 log = logging.getLogger("decodelab")
 
-_DEFAULTS: dict[str, dict] = {
-    "train": {"order": 4, "alpha": 0.1},
+#: ``_PARAMS[command][key] = (type, default, help)``.  A list default marks a
+#: grid flag that takes one or more values of ``type``; a None default marks
+#: a flag that is unset unless given.
+_PARAMS: dict[str, dict[str, tuple[type, object, str]]] = {
+    "train": {
+        "order": (int, 4, "n-gram order"),
+        "alpha": (float, 0.1, "additive smoothing"),
+    },
     "generate": {
-        "prompt": "",
-        "temp": 0.8,
-        "top_k": 40,
-        "top_p": 0.95,
-        "min_p": 0.0,
-        "seed": 0,
-        "max_len": 200,
-        "context": DEFAULT_CAPACITY,
-        "trace_out": None,
+        "prompt": (str, "", "prompt text"),
+        "temp": (float, 0.8, "softmax temperature; 0 means argmax mode"),
+        "top_k": (int, 40, "top-k survivors"),
+        "top_p": (float, 0.95, "top-p cumulative mass"),
+        "min_p": (float, 0.0, "absolute min-p floor"),
+        "seed": (int, 0, "64-bit seed"),
+        "max_len": (int, 200, "maximum tokens to emit"),
+        "context": (int, DEFAULT_CAPACITY, "context window capacity"),
+        "trace_out": (str, None, "write per-token sampling traces to this JSON file"),
     },
     "sweep": {
-        "prompt": "",
-        "temps": [0.8],
-        "top_ks": [40],
-        "top_ps": [0.95],
-        "min_ps": [0.0, 0.06, 0.15],
-        "seed": 0,
-        "max_len": 120,
-        "context": DEFAULT_CAPACITY,
-        "csv_out": None,
+        "prompt": (str, "", "prompt text"),
+        "temps": (float, [0.8], "temperature grid"),
+        "top_ks": (int, [40], "top-k grid"),
+        "top_ps": (float, [0.95], "top-p grid"),
+        "min_ps": (float, [0.0, 0.06, 0.15], "min-p grid"),
+        "seed": (int, 0, "master seed; per-row seeds are derived from it"),
+        "max_len": (int, 120, "maximum tokens per row"),
+        "context": (int, DEFAULT_CAPACITY, "context window capacity"),
+        "csv_out": (str, None, "output CSV path (required)"),
     },
     "simulate": {
-        "height": 8,
-        "width": 8,
-        "vocab": 16,
-        "stay_mass": 0.9,
-        "k_grid": [1, 50, 200, 500],
-        "steps": 20,
-        "trials": 3,
-        "seed": 0,
-        "csv_out": None,
-        "frames_out": None,
+        "height": (int, 8, "grid height in patches"),
+        "width": (int, 8, "grid width in patches"),
+        "vocab": (int, 16, "patch-token vocabulary size"),
+        "stay_mass": (float, 0.9, "conditional mass on repeating a patch"),
+        "k_grid": (int, [1, 50, 200, 500], "top-k sweep values"),
+        "steps": (int, 20, "rollout length in predicted frames"),
+        "trials": (int, 3, "rollouts per k"),
+        "seed": (int, 0, "master seed"),
+        "csv_out": (str, None, "output CSV path (required)"),
+        "frames_out": (str, None, "directory for PGM dumps of each k's first trial"),
     },
 }
 
+# The JSON values each flag type accepts (bool is an int in Python, and is
+# rejected separately), and how an error message names them.
+_JSON_TYPES = {int: int, float: (int, float), str: str}
+_TYPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"), str: ("a string", "strings")}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _shown(default) -> str:
+    if isinstance(default, list):
+        return " ".join(_shown(v) for v in default)
+    return f"{default:g}" if isinstance(default, float) else repr(default)
+
+
+def _typed(key: str, typ: type, value, expected: str):
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[typ]):
+        raise ValueError(f"config key '{key}' must be {expected} (got {json.dumps(value)})")
+    try:
+        return typ(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValueError(f"config key '{key}' is beyond the float range") from None
+
+
+def _config_value(key: str, typ: type, default, value):
+    """A config file's ``value`` for ``key``, checked against its flag's type and converted."""
+    if value is None and default is None:
+        return None
+    one, many = _TYPE_NAMES[typ]
+    if not isinstance(default, list):
+        return _typed(key, typ, value, one)
+    expected = f"a non-empty list of {many}"
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"config key '{key}' must be {expected} (got {json.dumps(value)})")
+    return [_typed(key, typ, v, expected) for v in value]
+
 
 def _merged_params(args: argparse.Namespace, command: str) -> dict:
-    """Built-in defaults, overridden by the JSON config file, overridden by flags."""
-    merged = dict(_DEFAULTS[command])
-    if getattr(args, "config", None) is not None:
+    """Table defaults, overridden by the JSON config file, overridden by flags."""
+    params = _PARAMS[command]
+    merged = {key: default for key, (_, default, _) in params.items()}
+    if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(doc) - set(merged))
+        unknown = sorted(set(doc) - set(params))
         if unknown:
             raise ValueError(f"config file has unknown keys for '{command}': {', '.join(unknown)}")
-        merged.update(doc)
-    for dest in merged:
-        flag_value = getattr(args, dest, None)
+        for key, value in doc.items():
+            typ, default, _ = params[key]
+            merged[key] = _config_value(key, typ, default, value)
+    for key in params:
+        flag_value = getattr(args, key)
         if flag_value is not None:
-            merged[dest] = flag_value
+            merged[key] = flag_value
     return merged
 
 
-def _require(params: dict, key: str, flag: str) -> object:
-    value = params.get(key)
+def _require(params: dict, key: str) -> object:
+    value = params[key]
     if value is None:
-        raise ValueError(f"{key} is required (flag {flag} or config key '{key}')")
+        raise ValueError(f"{key} is required (flag {_flag(key)} or config key '{key}')")
     return value
-
-
-def _nonempty_grid(values, name: str) -> list:
-    values = list(values)
-    if not values:
-        raise ValueError(f"{name} grid must not be empty")
-    return values
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     p = _merged_params(args, "train")
     text = Path(args.corpus).read_text(encoding="utf-8")
     corpus = tokenize(text)
-    model = train_ngram(corpus, order=int(p["order"]), alpha=float(p["alpha"]))
+    model = train_ngram(corpus, order=p["order"], alpha=p["alpha"])
     model.save(args.model_out)
     log.info("trained order-%d model from %s", model.order, args.corpus)
     print(f"tokens={len(corpus)} contexts={model.context_count()}")
     return EXIT_OK
 
 
-def _sampler_config(p: dict) -> SamplerConfig:
-    return SamplerConfig(
-        temperature=float(p["temp"]),
-        top_k=int(p["top_k"]),
-        top_p=float(p["top_p"]),
-        min_p=float(p["min_p"]),
-        seed=int(p["seed"]),
-    )
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     p = _merged_params(args, "generate")
     model = NGramModel.load(args.model)
-    cfg = _sampler_config(p)
-    prompt = tokenize(str(p["prompt"]), model.alphabet)
-    result = generate(model, cfg, prompt, max_len=int(p["max_len"]), capacity=int(p["context"]))
+    cfg = SamplerConfig(p["temp"], p["top_k"], p["top_p"], p["min_p"], p["seed"])
+    prompt = tokenize(p["prompt"], model.alphabet)
+    result = generate(model, cfg, prompt, max_len=p["max_len"], capacity=p["context"])
     print(detokenize(result.output_tokens, model.alphabet))
     if p["trace_out"] is not None:
         doc = {"format": "decodelab-generation", "format_version": 1}
@@ -147,43 +182,20 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     p = _merged_params(args, "sweep")
-    csv_out = _require(p, "csv_out", "--csv-out")
+    csv_out = _require(p, "csv_out")
     model = NGramModel.load(args.model)
-    prompt = tokenize(str(p["prompt"]), model.alphabet)
-    temps = _nonempty_grid(p["temps"], "temperature")
-    top_ks = _nonempty_grid(p["top_ks"], "top-k")
-    top_ps = _nonempty_grid(p["top_ps"], "top-p")
-    min_ps = _nonempty_grid(p["min_ps"], "min-p")
-    master_seed = int(p["seed"])
-    max_len = int(p["max_len"])
-    capacity = int(p["context"])
-
+    prompt = tokenize(p["prompt"], model.alphabet)
+    grid = itertools.product(p["temps"], p["top_ks"], p["top_ps"], p["min_ps"])
     rows = []
-    run_id = 0
-    for temp in temps:
-        for k in top_ks:
-            for top_p in top_ps:
-                for min_p in min_ps:
-                    seed = derive_seed(master_seed, run_id)
-                    cfg = SamplerConfig(float(temp), int(k), float(top_p), float(min_p), seed)
-                    result = generate(model, cfg, prompt, max_len=max_len, capacity=capacity)
-                    finals = [t.final for t in result.traces]
-                    mean_entropy = float(np.mean([entropy(f) for f in finals]))
-                    mean_survivors = float(np.mean([f.survivor_count for f in finals]))
-                    rows.append(
-                        [
-                            run_id,
-                            float(temp),
-                            int(k),
-                            float(top_p),
-                            float(min_p),
-                            seed,
-                            mean_entropy,
-                            mean_survivors,
-                            detokenize(result.output_tokens, model.alphabet),
-                        ]
-                    )
-                    run_id += 1
+    for run_id, (temp, k, top_p, min_p) in enumerate(grid):
+        seed = derive_seed(p["seed"], run_id)
+        cfg = SamplerConfig(temp, k, top_p, min_p, seed)
+        result = generate(model, cfg, prompt, max_len=p["max_len"], capacity=p["context"])
+        finals = [t.final for t in result.traces]
+        mean_entropy = float(np.mean([entropy(f) for f in finals]))
+        mean_survivors = float(np.mean([f.survivor_count for f in finals]))
+        output_text = detokenize(result.output_tokens, model.alphabet)
+        rows.append([run_id, temp, k, top_p, min_p, seed, mean_entropy, mean_survivors, output_text])
     _write_csv(csv_out, SWEEP_CSV_HEADER, rows)
     print(f"rows={len(rows)} csv={csv_out}")
     return EXIT_OK
@@ -191,20 +203,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     p = _merged_params(args, "simulate")
-    csv_out = _require(p, "csv_out", "--csv-out")
-    height, width, vocab = int(p["height"]), int(p["width"]), int(p["vocab"])
-    steps, trials = int(p["steps"]), int(p["trials"])
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1 (got {steps})")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1 (got {trials})")
-    ks = [int(k) for k in _nonempty_grid(p["k_grid"], "k")]
-    master_seed = int(p["seed"])
+    csv_out = _require(p, "csv_out")
+    height, width, vocab, master_seed = p["height"], p["width"], p["vocab"], p["seed"]
 
-    world = build_world(height, width, vocab, float(p["stay_mass"]), seed=derive_seed(master_seed, 0))
+    world = build_world(height, width, vocab, p["stay_mass"], seed=derive_seed(master_seed, 0))
     prompt = random_frame(height, width, vocab, seed=derive_seed(master_seed, 1))
     entries = k_sweep(
-        world, prompt, SamplerConfig(1.0, 1), ks, steps=steps, trials=trials,
+        world, prompt, SamplerConfig(1.0, 1), p["k_grid"], steps=p["steps"], trials=p["trials"],
         master_seed=derive_seed(master_seed, 2),
     )
 
@@ -241,57 +246,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decoding laboratory: staged sampling over n-gram text models and a patch-token frame simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    train = sub.add_parser("train", help="train a character n-gram model from a UTF-8 corpus")
-    train.add_argument("corpus", help="path to a UTF-8 plain-text corpus")
-    train.add_argument("model_out", help="path for the model JSON document")
-    train.add_argument("--order", type=int, default=None, help="n-gram order (default 4)")
-    train.add_argument("--alpha", type=float, default=None, help="additive smoothing (default 0.1)")
-    train.add_argument("--config", default=None, help="JSON config file; flags override it")
-    train.set_defaults(func=cmd_train)
-
-    gen = sub.add_parser("generate", help="generate text from a trained model")
-    gen.add_argument("model", help="path to a model JSON document")
-    gen.add_argument("--prompt", default=None, help="prompt text (default empty)")
-    gen.add_argument("--temp", type=float, default=None, help="softmax temperature; 0 means argmax mode (default 0.8)")
-    gen.add_argument("--top-k", dest="top_k", type=int, default=None, help="top-k survivors (default 40)")
-    gen.add_argument("--top-p", dest="top_p", type=float, default=None, help="top-p cumulative mass (default 0.95)")
-    gen.add_argument("--min-p", dest="min_p", type=float, default=None, help="absolute min-p floor (default 0)")
-    gen.add_argument("--seed", type=int, default=None, help="64-bit seed (default 0)")
-    gen.add_argument("--max-len", dest="max_len", type=int, default=None, help="maximum tokens to emit (default 200)")
-    gen.add_argument("--context", type=int, default=None, help="context window capacity (default 64)")
-    gen.add_argument("--trace-out", dest="trace_out", default=None, help="write per-token sampling traces to this JSON file")
-    gen.add_argument("--config", default=None, help="JSON config file; flags override it")
-    gen.set_defaults(func=cmd_generate)
-
-    sweep = sub.add_parser("sweep", help="cross-product hyperparameter sweep, one CSV row per grid point")
-    sweep.add_argument("model", help="path to a model JSON document")
-    sweep.add_argument("--prompt", default=None, help="prompt text (default empty)")
-    sweep.add_argument("--temps", type=float, nargs="+", default=None, help="temperature grid (default: 0.8)")
-    sweep.add_argument("--top-ks", dest="top_ks", type=int, nargs="+", default=None, help="top-k grid (default: 40)")
-    sweep.add_argument("--top-ps", dest="top_ps", type=float, nargs="+", default=None, help="top-p grid (default: 0.95)")
-    sweep.add_argument("--min-ps", dest="min_ps", type=float, nargs="+", default=None, help="min-p grid (default: 0 0.06 0.15)")
-    sweep.add_argument("--seed", type=int, default=None, help="master seed; per-row seeds are derived from it (default 0)")
-    sweep.add_argument("--max-len", dest="max_len", type=int, default=None, help="maximum tokens per row (default 120)")
-    sweep.add_argument("--context", type=int, default=None, help="context window capacity (default 64)")
-    sweep.add_argument("--csv-out", dest="csv_out", default=None, help="output CSV path (required)")
-    sweep.add_argument("--config", default=None, help="JSON config file; flags override it")
-    sweep.set_defaults(func=cmd_sweep)
-
-    sim = sub.add_parser("simulate", help="frame-simulator top-k sweep: rollouts, freeze detection, novelty CSV")
-    sim.add_argument("--height", type=int, default=None, help="grid height in patches (default 8)")
-    sim.add_argument("--width", type=int, default=None, help="grid width in patches (default 8)")
-    sim.add_argument("--vocab", type=int, default=None, help="patch-token vocabulary size (default 16)")
-    sim.add_argument("--stay-mass", dest="stay_mass", type=float, default=None, help="conditional mass on repeating a patch (default 0.9)")
-    sim.add_argument("--k-grid", dest="k_grid", type=int, nargs="+", default=None, help="top-k sweep values (default: 1 50 200 500)")
-    sim.add_argument("--steps", type=int, default=None, help="rollout length in predicted frames (default 20)")
-    sim.add_argument("--trials", type=int, default=None, help="rollouts per k (default 3)")
-    sim.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    sim.add_argument("--csv-out", dest="csv_out", default=None, help="output CSV path (required)")
-    sim.add_argument("--frames-out", dest="frames_out", default=None, help="directory for PGM dumps of each k's first trial")
-    sim.add_argument("--config", default=None, help="JSON config file; flags override it")
-    sim.set_defaults(func=cmd_simulate)
-
+    model_arg = ("model", "path to a model JSON document")
+    # Looked up on each call, not at import, so the command functions can be swapped.
+    commands = {
+        "train": (
+            cmd_train, "train a character n-gram model from a UTF-8 corpus",
+            [("corpus", "path to a UTF-8 plain-text corpus"), ("model_out", "path for the model JSON document")],
+        ),
+        "generate": (cmd_generate, "generate text from a trained model", [model_arg]),
+        "sweep": (cmd_sweep, "cross-product hyperparameter sweep, one CSV row per grid point", [model_arg]),
+        "simulate": (cmd_simulate, "frame-simulator top-k sweep: rollouts, freeze detection, novelty CSV", []),
+    }
+    for command, (func, summary, positionals) in commands.items():
+        cmd = sub.add_parser(command, help=summary)
+        for name, text in positionals:
+            cmd.add_argument(name, help=text)
+        for key, (typ, default, text) in _PARAMS[command].items():
+            if default is not None:
+                text += f" (default: {_shown(default)})"
+            nargs = "+" if isinstance(default, list) else None
+            cmd.add_argument(_flag(key), type=typ, nargs=nargs, default=None, help=text)
+        cmd.add_argument("--config", default=None, help="JSON config file; flags override it")
+        cmd.set_defaults(func=func)
     return parser
 
 

@@ -13,7 +13,7 @@ Smoothing and backoff semantics:
   backoff occurs.
 * With ``alpha = 0`` an unseen context makes the formula degenerate (0/0);
   the model then backs off to the next shorter context, down to the unigram,
-  which always has counts after training.
+  whose total the constructor requires to be positive when ``alpha = 0``.
 * Zero conditional probabilities are floored at 1e-300 before the log so
   logits stay finite; the distortion (1e-300 of mass) is far below every
   tolerance in the package.
@@ -88,8 +88,11 @@ class NGramModel:
     ):
         if order < 1:
             raise ValueError(f"order must be >= 1 (got {order})")
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0 (got {alpha!r})")
+        if not (np.isfinite(alpha) and alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0 (got {alpha!r})")
+        unigram = tables.get(1, {}).get(())
+        if alpha == 0 and (unigram is None or unigram.sum() == 0):
+            raise ValueError("alpha = 0 needs unigram counts with a positive total")
         self.order = int(order)
         self.alpha = float(alpha)
         self.alphabet = alphabet
@@ -113,7 +116,7 @@ class NGramModel:
                 if counts is None:
                     counts = np.zeros(d, dtype=np.int64)
                 return (counts + self.alpha) / (total + self.alpha * d)
-        raise AssertionError("unigram table empty; model was not produced by train_ngram")
+        # Unreachable: the constructor ensures the unigram level returns.
 
     def logits_for(self, context: Sequence[TokenId]) -> np.ndarray:
         """Log of the smoothed conditional, floored so every entry is finite."""
@@ -162,11 +165,13 @@ class NGramModel:
             order = int(d["order"])
             alphabet = TokenAlphabet(tuple(d["alphabet"]["symbols"]), int(d["alphabet"]["eos_index"]))
             size = alphabet.size
+            counts = _json_object(d["counts"], "counts")
+            # Check the order against the document before allocating anything per order.
+            if order != len(counts) or set(counts) != {str(m) for m in range(1, order + 1)}:
+                raise ModelFormatError(f"count tables must be exactly '1'..'{order}' (got {sorted(counts)})")
             tables: dict[int, dict[tuple[TokenId, ...], np.ndarray]] = {m: {} for m in range(1, order + 1)}
-            for m_str, level in _json_object(d["counts"], "counts").items():
+            for m_str, level in counts.items():
                 m = int(m_str)
-                if not 1 <= m <= order:
-                    raise ModelFormatError(f"count table order {m} outside 1..{order}")
                 for key, sparse in _json_object(level, f"count table {m_str!r}").items():
                     ctx = tuple(int(t) for t in key.split(",")) if key else ()
                     if len(ctx) != m - 1 or any(not 0 <= t < size for t in ctx):
@@ -178,13 +183,13 @@ class NGramModel:
                             raise ModelFormatError(f"bad count entry {tok_str!r}: {count!r}")
                         arr[tok] = count
                     tables[m][ctx] = arr
+            if () not in tables.get(1, {}):
+                raise ModelFormatError("model document lacks unigram counts")
+            return cls(order, alpha, alphabet, tables)
         except ModelFormatError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"malformed model document: {exc}") from exc
-        if () not in tables.get(1, {}):
-            raise ModelFormatError("model document lacks unigram counts")
-        return cls(order, alpha, alphabet, tables)
 
     @classmethod
     def load(cls, path: str | Path) -> "NGramModel":

@@ -119,11 +119,12 @@ class ProbabilityDistribution:
     index_map: np.ndarray
 
     def __post_init__(self) -> None:
-        masses = np.asarray(self.masses, dtype=np.float64)
+        # Copies, so freezing them never freezes the caller's own arrays.
+        masses = np.array(self.masses, dtype=np.float64)
         if self.index_map is None:
-            index_map = np.arange(masses.size, dtype=np.int64)
+            index_map = token_ids(masses.size)
         else:
-            index_map = np.asarray(self.index_map, dtype=np.int64)
+            index_map = np.array(self.index_map, dtype=np.int64)
         object.__setattr__(self, "masses", _freeze(masses))
         object.__setattr__(self, "index_map", _freeze(index_map))
         if masses.ndim != 1 or masses.size == 0:
@@ -152,8 +153,7 @@ class ProbabilityDistribution:
 
     def restored(self) -> "ProbabilityDistribution":
         """The same survivor set reordered to ascending original token index."""
-        order = np.argsort(self.index_map)
-        return ProbabilityDistribution._unchecked(self.masses[order], self.index_map[order])
+        return ProbabilityDistribution._unchecked(*by_token_index(self.masses, self.index_map))
 
     def dense(self, size: int) -> np.ndarray:
         """Expand to a length-``size`` vector with zeros on pruned tokens."""
@@ -164,10 +164,15 @@ class ProbabilityDistribution:
         return out
 
 
+def by_token_index(masses: np.ndarray, index_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``masses`` and ``index_map`` reordered to ascending original token index."""
+    order = index_map.argsort()
+    return masses[order], index_map[order]
+
+
 def full_distribution(masses: Sequence[float] | np.ndarray) -> ProbabilityDistribution:
     """A distribution over the whole alphabet, token i at position i."""
-    arr = np.asarray(masses, dtype=np.float64)
-    return ProbabilityDistribution(arr, np.arange(arr.size, dtype=np.int64))
+    return ProbabilityDistribution(masses, None)
 
 
 def softmax(z: Sequence[float] | np.ndarray, temperature: float) -> ProbabilityDistribution:
@@ -235,11 +240,7 @@ def renormalize(
     total = float(m.sum())
     if total <= 0.0:
         raise ValueError("degenerate survivor set: no strictly positive mass to renormalize")
-    if index_map is None:
-        idx = np.arange(m.size, dtype=np.int64)
-    else:
-        idx = np.asarray(index_map, dtype=np.int64)
-    return ProbabilityDistribution(m / total, idx)
+    return ProbabilityDistribution(m / total, index_map)
 
 
 def logits_from_masses(masses: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ from .probcore import (
     ProbabilityDistribution,
     TokenId,
     as_logits,
+    by_token_index,
     softmax,  # noqa: F401  (re-exported: perfbench's tracer wraps sampler.softmax)
     softmax_masses,
     token_ids,
@@ -271,12 +272,12 @@ def _inverse_cdf(masses: np.ndarray, index_map: np.ndarray, u: float) -> TokenId
     # return the first index whose cumulative mass exceeds the uniform.
     if masses.size == 1:
         return int(index_map[0])
-    order = index_map.argsort()
-    cum = np.add.accumulate(masses[order])
+    masses, index_map = by_token_index(masses, index_map)
+    cum = np.add.accumulate(masses)
     pos = int(cum.searchsorted(u, "right"))
     if pos >= cum.size:  # u beyond a rounded-down total
         pos = cum.size - 1
-    return int(index_map[order[pos]])
+    return int(index_map[pos])
 
 
 def draw(dist: ProbabilityDistribution, rng: RandomStream) -> TokenId:

@@ -1,11 +1,17 @@
 """Command-line surface: flags, config merging, exit codes, artifact determinism."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
+import os
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_sampler import reference_run_pipeline
 
 from decodelab import NGramModel, ProbabilityDistribution, autoregress, cli, default_alphabet, derive_seed, entropy
@@ -114,6 +120,23 @@ class TestGenerate:
         assert err.startswith("error:") and "must be a JSON object" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: json.dumps({**doc, "alpha": 0, "counts": {**doc["counts"], "1": {"": {}}}}),
+            lambda doc: json.dumps({**doc, "alpha": "nan"}),
+            lambda doc: json.dumps({**doc, "alpha": "A"}).replace('"A"', "1e999"),
+            lambda doc: json.dumps({**doc, "order": len(doc["counts"]) + 1}),
+        ],
+        ids=["alpha-0-empty-unigram", "alpha-nan", "alpha-1e999", "order-above-levels"],
+    )
+    def test_model_rejected_at_load_is_a_format_error(self, tmp_path, model_file, capsys, edit):
+        bad = tmp_path / "bad.json"
+        bad.write_text(edit(json.loads(model_file.read_text(encoding="utf-8"))), encoding="utf-8")
+        assert main(["generate", str(bad), "--max-len", "5"]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_tiny_temperature_leaves_stderr_empty(self, tmp_path, model_file, capsys):
         # exp() of (z - max) / 1e-320 overflows to -inf on the way to mass 0
         with warnings.catch_warnings():
@@ -162,6 +185,130 @@ class TestGenerate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]", encoding="utf-8")
         assert main(["generate", str(model_file), "--config", str(cfg)]) == EXIT_USAGE
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("sweep", {"temps": 5}),
+            ("generate", {"seed": True}),
+            ("generate", {"top_k": 40.5}),
+            ("generate", {"prompt": [1]}),
+            ("simulate", {"stay_mass": "0.9"}),
+            ("simulate", {"k_grid": []}),
+            ("sweep", {"min_ps": [0, None]}),
+            ("generate", {"max_len": None}),
+            ("train", {"alpha": 10**400}),
+        ],
+    )
+    def test_wrong_json_type_is_a_usage_error(self, tmp_path, corpus_file, model_file, capsys, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        argv = {  # a small valid run of each command
+            "train": ["train", str(corpus_file), str(tmp_path / "m.json")],
+            "generate": ["generate", str(model_file), "--max-len", "5"],
+            "sweep": ["sweep", str(model_file), "--max-len", "5", "--csv-out", str(tmp_path / "s.csv")],
+            "simulate": ["simulate", "--steps", "1", "--trials", "1", "--csv-out", str(tmp_path / "x.csv")],
+        }[command]
+        assert main(argv + ["--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key '{next(iter(config))}'") and "Traceback" not in err
+
+    def test_json_integers_fill_float_flags(self, tmp_path, model_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"temps": [1, 2], "top_ps": [1], "min_ps": [0]}), encoding="utf-8")
+        from_config, from_flags = tmp_path / "a.csv", tmp_path / "b.csv"
+        base = ["sweep", str(model_file), "--prompt", "the ", "--max-len", "10"]
+        assert main(base + ["--config", str(cfg), "--csv-out", str(from_config)]) == EXIT_OK
+        assert main(base + [
+            "--temps", "1.0", "2.0", "--top-ps", "1.0", "--min-ps", "0.0", "--csv-out", str(from_flags),
+        ]) == EXIT_OK
+        assert from_config.read_bytes() == from_flags.read_bytes()
+        with from_config.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(r[1], r[3], r[4]) for r in rows] == [("1.0", "1.0", "0.0"), ("2.0", "1.0", "0.0")]
+
+
+# Replacement values for the exit-code fuzz: every JSON type, and numbers small
+# enough that an accepted run stays quick and allocates nothing large.
+FUZZ_VALUES = st.one_of(
+    st.sampled_from([None, True, -1, 0, 2.5, float("nan"), "x", [], {}, [1], {"a": 1}]),
+    st.integers(-2, 4),
+)
+
+FUZZ_CONFIGS = {
+    "train": {"order": 2, "alpha": 0.1},
+    "generate": {
+        "prompt": "ab", "temp": 0.8, "top_k": 5, "top_p": 0.9, "min_p": 0.0, "seed": 1, "max_len": 4,
+        "context": 4, "trace_out": "trace.json",
+    },
+    "sweep": {
+        "prompt": "a", "temps": [0.8], "top_ks": [3], "top_ps": [0.9], "min_ps": [0.0], "seed": 1,
+        "max_len": 3, "context": 4, "csv_out": "s.csv",
+    },
+    "simulate": {
+        "height": 3, "width": 3, "vocab": 4, "stay_mass": 0.8, "k_grid": [1, 2], "steps": 2, "trials": 1,
+        "seed": 1, "csv_out": "x.csv", "frames_out": "frames",
+    },
+}
+
+
+class TestExitCodeFuzz:
+    """One replaced field of a valid model document or config file: exit 0, 2 or 3, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory, corpus_file):
+        work = tmp_path_factory.mktemp("fuzz")
+        models = {}
+        for alpha in (0.0, 0.1):
+            path = work / f"model-{alpha}.json"
+            assert main(["train", str(corpus_file), str(path), "--order", "2", "--alpha", str(alpha)]) == EXIT_OK
+            models[alpha] = json.loads(path.read_text(encoding="utf-8"))
+        return work, models
+
+    @staticmethod
+    def _run(work: Path, argv: list[str]) -> None:
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(work)  # relative output paths, and any path a replaced value names, land here
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main(argv)
+        finally:
+            os.chdir(cwd)
+        assert rc in (EXIT_OK, EXIT_USAGE, EXIT_FORMAT)
+        assert err.getvalue() == "" if rc == EXIT_OK else err.getvalue().startswith("error:")
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_model_document_field(self, workdir, data):
+        work, models = workdir
+        doc = copy.deepcopy(models[data.draw(st.sampled_from(sorted(models)), label="alpha")])
+        node = doc
+        key = data.draw(st.sampled_from(sorted(node)))
+        while isinstance(node[key], dict) and node[key] and data.draw(st.booleans(), label="descend"):
+            node = node[key]
+            key = data.draw(st.sampled_from(sorted(node)))
+        node[key] = data.draw(FUZZ_VALUES, label="value")
+        (work / "model.json").write_text(json.dumps(doc), encoding="utf-8")
+        self._run(work, ["generate", "model.json", "--max-len", "4"])
+
+    @settings(max_examples=300)
+    @given(command=st.sampled_from(sorted(FUZZ_CONFIGS)), data=st.data())
+    def test_config_value(self, workdir, corpus_file, command, data):
+        work, models = workdir
+        config = dict(FUZZ_CONFIGS[command])
+        config[data.draw(st.sampled_from(sorted(config)), label="key")] = data.draw(FUZZ_VALUES, label="value")
+        (work / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        positionals = {
+            "train": [str(corpus_file), "trained.json"],
+            "generate": ["model-0.1.json"],
+            "sweep": ["model-0.1.json"],
+            "simulate": [],
+        }[command]
+        self._run(work, [command, *positionals, "--config", "cfg.json"])
 
 
 class TestSweep:
@@ -302,6 +449,22 @@ class TestParserContract:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "train" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, shown",
+        [
+            ("train", ["n-gram order (default: 4)", "additive smoothing (default: 0.1)"]),
+            ("generate", ["prompt text (default: '')", "argmax mode (default: 0.8)", "floor (default: 0)"]),
+            ("sweep", ["min-p grid (default: 0 0.06 0.15)", "(required)"]),
+            ("simulate", ["top-k sweep values (default: 1 50 200 500)", "rollouts per k (default: 3)"]),
+        ],
+    )
+    def test_help_states_every_default(self, capsys, command, shown):
+        assert main([command, "--help"]) == EXIT_OK
+        text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+        assert all(s in text for s in shown)
+        defaults = [d for _, d, _ in cli._PARAMS[command].values() if d is not None]
+        assert text.count("(default: ") == len(defaults)
 
     def test_no_command_is_a_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE

@@ -104,6 +104,24 @@ class TestProbabilityDistribution:
         np.testing.assert_array_equal(r.index_map, [1, 3])
         np.testing.assert_allclose(r.masses, [0.4, 0.6])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda m, i: ProbabilityDistribution(m, None),
+            lambda m, i: ProbabilityDistribution(m, i),
+            lambda m, i: full_distribution(m),
+            lambda m, i: renormalize(m, i),
+        ],
+        ids=["default-index-map", "given-index-map", "full_distribution", "renormalize"],
+    )
+    def test_callers_arrays_stay_writeable(self, build):
+        masses, index_map = np.array([0.25, 0.75]), np.array([0, 1], dtype=np.int64)
+        d = build(masses, index_map)
+        assert masses.flags.writeable and index_map.flags.writeable
+        assert not d.masses.flags.writeable and not d.index_map.flags.writeable
+        masses[0] = 0.5
+        assert d.masses[0] == 0.25
+
     def test_dense_scatters_survivors(self):
         d = ProbabilityDistribution(np.array([0.6, 0.4]), np.array([3, 1]))
         np.testing.assert_allclose(d.dense(5), [0.0, 0.4, 0.0, 0.6, 0.0])
