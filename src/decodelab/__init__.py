@@ -66,6 +66,7 @@ from .sampler import (
     draw,
     min_p_filter,
     run_pipeline,
+    sample_rows,
     sort_descending,
     top_k_filter,
     top_p_filter,
@@ -119,6 +120,7 @@ __all__ = [
     "replay",
     "rollout",
     "run_pipeline",
+    "sample_rows",
     "softmax",
     "sort_descending",
     "top_k_filter",

@@ -26,6 +26,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -88,6 +89,25 @@ _PARAMS: dict[str, dict[str, tuple[type, object, str]]] = {
     },
 }
 
+#: ``_SIZE_CAPS[command] = [(what, size, cap), ...]``: the largest sizes a run
+#: may request, checked once all values are merged and before anything is
+#: allocated; a size above its cap is a usage error (exit 2).  A ``simulate``
+#: frame step holds a few ``(height * width, vocab)`` float64 arrays, and every
+#: predicted frame of the sweep is kept until the CSV is written.
+_SIZE_CAPS: dict[str, list[tuple[str, Callable[[dict], int], int]]] = {
+    "simulate": [
+        ("height * width * vocab", lambda p: p["height"] * p["width"] * p["vocab"], 2**20),
+        ("steps", lambda p: p["steps"], 10_000),
+        ("trials", lambda p: p["trials"], 1_000),
+        ("the number of k values", lambda p: len(p["k_grid"]), 64),
+        (
+            "k values * trials * steps * height * width",
+            lambda p: len(p["k_grid"]) * p["trials"] * p["steps"] * p["height"] * p["width"],
+            2**22,
+        ),
+    ],
+}
+
 # The JSON values each flag type accepts (bool is an int in Python, and is
 # rejected separately), and how an error message names them.
 _JSON_TYPES = {int: int, float: (int, float), str: str}
@@ -127,7 +147,8 @@ def _config_value(key: str, typ: type, default, value):
 
 
 def _merged_params(args: argparse.Namespace, command: str) -> dict:
-    """Table defaults, overridden by the JSON config file, overridden by flags."""
+    """Table defaults, overridden by the JSON config file, overridden by flags,
+    then checked against the command's size caps."""
     params = _PARAMS[command]
     merged = {key: default for key, (_, default, _) in params.items()}
     if args.config is not None:
@@ -145,6 +166,9 @@ def _merged_params(args: argparse.Namespace, command: str) -> dict:
         flag_value = getattr(args, key)
         if flag_value is not None:
             merged[key] = flag_value
+    for what, size, cap in _SIZE_CAPS.get(command, ()):
+        if size(merged) > cap:
+            raise ValueError(f"{what} is {size(merged)}, above the cap of {cap}")
     return merged
 
 

@@ -22,6 +22,10 @@ per-frame novelty grows with k.
 Patches are sampled independently given the previous frame (there is no
 within-frame autoregression), in row-major order from one shared random
 stream, so rollouts are cheap, analytic, and fully deterministic per seed.
+All patches of a frame are drawn in one batched pass: the conditionals of
+every patch are built as one matrix and sampled by
+:func:`~decodelab.sampler.sample_rows`, with the same per-patch arithmetic
+and the same row-major order of uniforms as sampling patch by patch.
 """
 
 from __future__ import annotations
@@ -32,7 +36,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .probcore import logits_from_masses
-from .sampler import RandomStream, SampleTrace, SamplerConfig, derive_seed, run_pipeline
+from .sampler import (
+    RandomStream,
+    SampleTrace,
+    SamplerConfig,
+    derive_seed,
+    run_pipeline,  # noqa: F401  (re-exported: perfbench's tracer wraps framesim.run_pipeline)
+    sample_rows,
+)
 
 #: A frame: 2-D integer array of patch tokens, shape (height, width).
 FrameGrid = np.ndarray
@@ -61,32 +72,52 @@ class WorldModel:
         """Next-token distribution for a patch.
 
         ``stay`` is the patch's token in the previous frame; ``neighbors``
-        are the previous-frame tokens of its in-grid 4-neighborhood (2 to 4
-        values).  The result sums to one and its argmax is ``stay``.
+        are the previous-frame tokens of its in-grid 4-neighborhood (0 to 4
+        values: a 1x1 grid has none, a 1xW grid two at most).  The result
+        sums to one and its argmax is ``stay``.
         """
         v = self.vocab
         if not 0 <= stay < v:
             raise ValueError(f"stay token {stay} outside vocabulary of size {v}")
-        rest = 1.0 - self.stay_mass
-        base = rest / (v - 1)
-        w = self.token_bias.copy()
+        row = np.zeros(1, dtype=np.int64)
+        passes = []
         for t in neighbors:
             t = int(t)
             if not 0 <= t < v:
                 raise ValueError(f"neighbor token {t} outside vocabulary of size {v}")
-            if t != stay:
-                w[t] += self.neighbor_gain
-        mask = np.ones(v, dtype=bool)
-        mask[stay] = False
-        dev = w[mask]
-        dev = dev - dev.mean()  # zero-sum: the non-stay total stays at `rest`
-        peak = np.abs(dev).max()
-        if peak > 0.0:
-            dev *= _DEVIATION_HEADROOM * min(self.stay_mass - base, base) / peak
-        out = np.empty(v, dtype=np.float64)
-        out[mask] = base + dev
-        out[stay] = self.stay_mass
-        return out
+            passes.append((row, np.array([t])))
+        return _conditionals(self, np.array([stay]), passes)[0]
+
+
+def _conditionals(
+    world: WorldModel, stay: np.ndarray, passes: Iterable[tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """The ``(N, V)`` conditionals of N patches whose previous tokens are ``stay``.
+
+    Each pass ``(rows, tokens)`` adds ``neighbor_gain`` to the weight of
+    ``tokens[j]`` in row ``rows[j]`` unless it is that row's stay token; a
+    row appears at most once per pass, and the passes run in order, so a
+    token that is the neighbor twice gets ``(bias + gain) + gain``.
+    """
+    v = world.vocab
+    n = stay.size
+    rest = 1.0 - world.stay_mass
+    base = rest / (v - 1)
+    w = np.tile(world.token_bias, (n, 1))
+    for rows, tokens in passes:
+        moved = tokens != stay[rows]
+        w[rows[moved], tokens[moved]] += world.neighbor_gain
+    others = np.ones((n, v), dtype=bool)
+    others[np.arange(n), stay] = False
+    dev = w[others].reshape(n, v - 1)
+    dev = dev - dev.mean(axis=1, keepdims=True)  # zero-sum: the non-stay total stays at `rest`
+    peak = np.maximum.reduce(np.abs(dev), axis=1)
+    spread = peak > 0.0
+    dev[spread] *= (_DEVIATION_HEADROOM * min(world.stay_mass - base, base) / peak[spread])[:, None]
+    out = np.empty((n, v), dtype=np.float64)
+    out[others] = (base + dev).ravel()
+    out[np.arange(n), stay] = world.stay_mass
+    return out
 
 
 def build_world(
@@ -154,36 +185,30 @@ def predict_frame(
     *,
     want_traces: bool = True,
 ) -> tuple[FrameGrid, tuple[SampleTrace, ...] | None]:
-    """Sample the next frame patch by patch through the sampling pipeline.
+    """Sample the next frame: every patch through the sampling pipeline.
 
-    Patches are processed in row-major order against one shared stream, each
-    drawn independently from its own conditional given the previous frame.
+    Each patch is drawn independently from its own conditional given the
+    previous frame, all in one batched pass that consumes one uniform per
+    patch in row-major order from the shared stream (none in argmax mode).
     Returns the new frame and (unless ``want_traces=False``) one trace per
     patch in the same order.
     """
     prev = _check_frame(world, prev)
     h, w = world.height, world.width
-    out = np.empty((h, w), dtype=np.int64)
-    traces: list[SampleTrace] = []
-    for i in range(h):
-        for j in range(w):
-            stay = int(prev[i, j])
-            neighbors = []
-            if i > 0:
-                neighbors.append(int(prev[i - 1, j]))
-            if i < h - 1:
-                neighbors.append(int(prev[i + 1, j]))
-            if j > 0:
-                neighbors.append(int(prev[i, j - 1]))
-            if j < w - 1:
-                neighbors.append(int(prev[i, j + 1]))
-            z = logits_from_masses(world.conditional(stay, neighbors))
-            token, trace = run_pipeline(z, cfg, rng, want_trace=want_traces)
-            out[i, j] = token
-            if want_traces:
-                traces.append(trace)
+    at = np.arange(h * w).reshape(h, w)
+    # Each patch's neighbors in the order up, down, left, right.
+    passes = [
+        (at[1:, :], prev[:-1, :]),
+        (at[:-1, :], prev[1:, :]),
+        (at[:, 1:], prev[:, :-1]),
+        (at[:, :-1], prev[:, 1:]),
+    ]
+    cond = _conditionals(world, prev.ravel(), [(rows.ravel(), tokens.ravel()) for rows, tokens in passes])
+    u = None if cfg.temperature == 0.0 else rng.next_uniforms(h * w)
+    tokens, traces = sample_rows(logits_from_masses(cond), cfg, u, want_traces=want_traces)
+    out = tokens.reshape(h, w)
     out.flags.writeable = False
-    return out, tuple(traces) if want_traces else None
+    return out, traces
 
 
 @dataclass(frozen=True, eq=False)

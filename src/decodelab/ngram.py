@@ -46,6 +46,22 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
+def _json_int(value, what: str) -> int:
+    # A JSON integer, not a float such as 2.5 or 4.0 and not a bool.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelFormatError(f"{what} must be a JSON integer (got {json.dumps(value)})")
+    return value
+
+
+def _json_number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelFormatError(f"{what} must be a JSON number (got {json.dumps(value)})")
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ModelFormatError(f"{what} is beyond the float range") from None
+
+
 def tokenize(text: str, alphabet: TokenAlphabet | None = None) -> tuple[TokenId, ...]:
     """Map text to token ids, one per character (a total function).
 
@@ -161,9 +177,11 @@ class NGramModel:
                 f"unsupported model format version {d.get('format_version')!r} (expected {FORMAT_VERSION})"
             )
         try:
-            alpha = float(d["alpha"])
-            order = int(d["order"])
-            alphabet = TokenAlphabet(tuple(d["alphabet"]["symbols"]), int(d["alphabet"]["eos_index"]))
+            alpha = _json_number(d["alpha"], "alpha")
+            order = _json_int(d["order"], "order")
+            alphabet = TokenAlphabet(
+                tuple(d["alphabet"]["symbols"]), _json_int(d["alphabet"]["eos_index"], "eos_index")
+            )
             size = alphabet.size
             counts = _json_object(d["counts"], "counts")
             # Check the order against the document before allocating anything per order.
@@ -178,9 +196,10 @@ class NGramModel:
                         raise ModelFormatError(f"bad context key {key!r} for order {m}")
                     arr = np.zeros(size, dtype=np.int64)
                     for tok_str, count in _json_object(sparse, f"counts of context {key!r}").items():
-                        tok, count = int(tok_str), int(count)
-                        if not 0 <= tok < size or count < 0:
-                            raise ModelFormatError(f"bad count entry {tok_str!r}: {count!r}")
+                        tok = int(tok_str)
+                        # Checked inline (type() refuses bool and float): this runs once per stored count.
+                        if type(count) is not int or count < 0 or not 0 <= tok < size:
+                            raise ModelFormatError(f"bad count entry {tok_str!r}: {json.dumps(count)}")
                         arr[tok] = count
                     tables[m][ctx] = arr
             if () not in tables.get(1, {}):

@@ -194,10 +194,15 @@ def softmax_masses(z: np.ndarray, temperature: float) -> np.ndarray:
     """The masses of :func:`softmax` for logits already checked by :func:`as_logits`.
 
     This is the one implementation of the softmax arithmetic; the sampler's
-    kernel calls it directly so that each logit vector is checked once.
+    kernels call it directly so that each logit vector is checked once.  A
+    2-D ``z`` is a batch of logit rows: each row gets the same bits it would
+    get on its own.
     """
-    e = np.exp((z - np.maximum.reduce(z)) / temperature)
-    e /= np.add.reduce(e)
+    # Reduce over the last axis with keepdims=True, passed positionally
+    # (axis, dtype, out, keepdims): keyword parsing would add about a
+    # microsecond to every call of the 1-D sampling path.
+    e = np.exp((z - np.maximum.reduce(z, -1, None, None, True)) / temperature)
+    e /= np.add.reduce(e, -1, None, None, True)
     return e
 
 

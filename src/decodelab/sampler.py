@@ -21,6 +21,11 @@ here:
 mode: the pipeline is bypassed and the most probable token under
 ``softmax(z, 1)`` is returned deterministically.
 
+:func:`run_pipeline` samples one logit vector; :func:`sample_rows` samples
+every row of a logit matrix under one config in a single array pass, with
+the same arithmetic per row, so each row's token and trace are those of
+:func:`run_pipeline` given the same uniform.
+
 Randomness comes from :class:`RandomStream`, a Philox (4x64)
 counter-based generator.  The algorithm identity is part of the external
 contract: a given seed yields the identical uniform sequence on every
@@ -112,6 +117,11 @@ class RandomStream:
     def next_uniform(self) -> float:
         """Next pseudo-random double in [0, 1)."""
         return float(self._gen.random())
+
+    def next_uniforms(self, n: int) -> np.ndarray:
+        """The next ``n`` doubles in [0, 1): the values, in order, of ``n`` calls
+        of :meth:`next_uniform`, leaving the stream at the same position."""
+        return self._gen.random(n)
 
 
 def derive_seed(master_seed: int, ordinal: int) -> int:
@@ -356,3 +366,125 @@ def run_pipeline(
         _record(STAGE_MIN_P, p3.masses, p3.index_map),
     )
     return token, _trace(stages, token, u, False)
+
+
+def _cut_rows(masses: np.ndarray, kept: np.ndarray, before: np.ndarray | int) -> np.ndarray:
+    # Rows whose survivor count fell (kept < before) keep their first `kept`
+    # entries, renormalized, and zeros after them; other rows are unchanged.
+    # Rows are renormalized in groups of equal length, one contiguous block
+    # and one add.reduce per group, which gives each row the bits of the
+    # 1-D reduce over its own prefix.
+    shrunk = kept < before
+    if not shrunk.any():
+        return masses
+    out = masses.copy()
+    for length in np.unique(kept[shrunk]):
+        rows = np.flatnonzero(shrunk & (kept == length))
+        block = masses[rows, :length]
+        out[rows, :length] = block / np.add.reduce(block, axis=1, keepdims=True)
+        out[rows, length:] = 0.0
+    return out
+
+
+def sample_rows(
+    z: np.ndarray,
+    cfg: SamplerConfig,
+    u: np.ndarray | None,
+    *,
+    want_traces: bool = True,
+) -> tuple[np.ndarray, tuple[SampleTrace, ...] | None]:
+    """Run the staged pipeline on every row of an ``(N, D)`` logit matrix.
+
+    Row ``i`` gets exactly the token and trace that :func:`run_pipeline`
+    gives for ``z[i]`` and ``cfg`` when the stream's next uniform is
+    ``u[i]``; the rows share one config.  In argmax mode
+    (``cfg.temperature == 0``) nothing is drawn and ``u`` is not read, so
+    the caller takes no uniforms (pass None).
+
+    Each stage is one array operation over all rows.  A survivor set is a
+    prefix of a row's sorted masses (the masses stay non-increasing through
+    every renormalization), so top-p and min-p are per-row prefix cuts; the
+    draw scatters the survivors back to token order, where one cumulative
+    sum per row gives the same partial sums as the sequential draw.
+
+    Returns the ``(N,)`` int64 tokens and, unless ``want_traces=False``, one
+    trace per row.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or z.size == 0:
+        raise ValueError(f"logits must form a non-empty 2-D matrix (got shape {z.shape})")
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
+        raise ValueError("logits must be finite (no NaN or infinities)")
+    n, size = z.shape
+    ids = token_ids(size)
+    if cfg.temperature == 0.0:
+        p = softmax_masses(z, 1.0)
+        tokens = p.argmax(axis=1)  # the first maximum: ties go to the lowest index
+        if not want_traces:
+            return tokens, None
+        p.setflags(write=False)
+        return tokens, tuple(
+            _trace((_record(STAGE_SOFTMAX, p[i], ids),), int(tokens[i]), None, True) for i in range(n)
+        )
+    if u is None or np.shape(u) != (n,):
+        raise ValueError(f"sampling {n} rows needs {n} uniforms")
+    u = np.asarray(u, dtype=np.float64)
+
+    p = softmax_masses(z, cfg.temperature)
+    # A stable sort of -p orders ties by ascending token index, as in run_pipeline.
+    order = (-p).argsort(axis=1, kind="stable")
+    ranked = np.take_along_axis(p, order, axis=1)
+    # Survivor counts after top-k, top-p and min-p; every stage's masses keep
+    # the full width D, with zeros after each row's survivors.
+    n1 = min(cfg.top_k, size)
+    p1 = _cut_rows(ranked, np.full(n, n1), size)
+    # Top-p keeps the shortest prefix whose cumulative mass reaches top_p (the
+    # crossing entry included); a search past the end keeps everything.
+    n2 = np.minimum(np.count_nonzero(np.add.accumulate(p1, axis=1) < cfg.top_p, axis=1) + 1, n1)
+    p2 = _cut_rows(p1, n2, n1)
+    index_map = order
+    if cfg.min_p == 0.0:
+        n3, p3 = n2, p2
+    else:
+        n3 = np.count_nonzero(p2 >= cfg.min_p, axis=1)  # the zeros after the survivors never count
+        fallback = np.flatnonzero(n3 == 0)
+        if fallback.size:
+            # No survivor: keep the largest mass, ties to the lowest token index.
+            # Renormalizing can tie entries that were ordered apart, so the
+            # winner is not always at position 0.  It moves to position 0,
+            # swapping places, so each row of index_map stays a permutation.
+            top = p2[fallback]
+            best = np.where(top == top[:, :1], order[fallback], size).min(axis=1)
+            at = (order[fallback] == best[:, None]).argmax(axis=1)
+            index_map = order.copy()
+            index_map[fallback, at] = order[fallback, 0]
+            index_map[fallback, 0] = best
+            n3[fallback] = 1  # its mass renormalizes to x / x = 1.0
+        p3 = _cut_rows(p2, n3, n2)
+
+    # The draw: survivors back in token order (other tokens hold 0.0, and
+    # adding 0.0 is exact), then the first survivor whose cumulative mass
+    # exceeds u; past the total, the survivor with the highest token index.
+    dense = np.empty_like(p3)
+    np.put_along_axis(dense, index_map, p3, axis=1)
+    tokens = np.count_nonzero(np.add.accumulate(dense, axis=1) <= u[:, None], axis=1)
+    clamped = np.flatnonzero(tokens == size)
+    if clamped.size:
+        alive = ids < n3[clamped, None]
+        tokens[clamped] = np.where(alive, index_map[clamped], -1).max(axis=1)
+    if not want_traces:
+        return tokens, None
+
+    for arr in (p, ranked, p1, p2, p3, order, index_map):
+        arr.setflags(write=False)
+    traces = []
+    for i in range(n):
+        k2, k3 = n2[i], n3[i]
+        stages = (
+            _record(STAGE_SOFTMAX, p[i], ids),
+            _record(STAGE_TOP_K, p1[i, :n1], order[i, :n1]),
+            _record(STAGE_TOP_P, p2[i, :k2], order[i, :k2]),
+            _record(STAGE_MIN_P, p3[i, :k3], index_map[i, :k3]),
+        )
+        traces.append(_trace(stages, int(tokens[i]), float(u[i]), False))
+    return tokens, tuple(traces)

@@ -6,15 +6,26 @@ import csv
 import io
 import json
 import os
+import re
 import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_framesim import reference_predict_frame
 from test_sampler import reference_run_pipeline
 
-from decodelab import NGramModel, ProbabilityDistribution, autoregress, cli, default_alphabet, derive_seed, entropy
+from decodelab import (
+    NGramModel,
+    ProbabilityDistribution,
+    autoregress,
+    cli,
+    default_alphabet,
+    derive_seed,
+    entropy,
+    framesim,
+)
 from decodelab.cli import EXIT_FORMAT, EXIT_OK, EXIT_USAGE, SIM_CSV_HEADER, SWEEP_CSV_HEADER, main
 
 A = default_alphabet()
@@ -127,8 +138,17 @@ class TestGenerate:
             lambda doc: json.dumps({**doc, "alpha": "nan"}),
             lambda doc: json.dumps({**doc, "alpha": "A"}).replace('"A"', "1e999"),
             lambda doc: json.dumps({**doc, "order": len(doc["counts"]) + 1}),
+            # numbers of the wrong JSON type, which int() and float() would have truncated or parsed
+            lambda doc: json.dumps({**doc, "counts": {**doc["counts"], "1": {"": {"0": 2.5}}}}),
+            lambda doc: json.dumps({**doc, "order": len(doc["counts"]) + 0.9}),
+            lambda doc: json.dumps({**doc, "alphabet": {**doc["alphabet"], "eos_index": True}}),
+            lambda doc: json.dumps({**doc, "alpha": "0.1"}),
+            lambda doc: json.dumps({**doc, "alpha": "A"}).replace('"A"', "1" + "0" * 400),
         ],
-        ids=["alpha-0-empty-unigram", "alpha-nan", "alpha-1e999", "order-above-levels"],
+        ids=[
+            "alpha-0-empty-unigram", "alpha-nan", "alpha-1e999", "order-above-levels",
+            "count-2.5", "order-3.9", "eos-index-true", "alpha-string", "alpha-int-beyond-float",
+        ],
     )
     def test_model_rejected_at_load_is_a_format_error(self, tmp_path, model_file, capsys, edit):
         bad = tmp_path / "bad.json"
@@ -233,7 +253,7 @@ class TestConfigTypes:
 # Replacement values for the exit-code fuzz: every JSON type, and numbers small
 # enough that an accepted run stays quick and allocates nothing large.
 FUZZ_VALUES = st.one_of(
-    st.sampled_from([None, True, -1, 0, 2.5, float("nan"), "x", [], {}, [1], {"a": 1}]),
+    st.sampled_from([None, True, -1, 0, 2.5, 4.9, float("nan"), "x", "0.1", [], {}, [1], {"a": 1}]),
     st.integers(-2, 4),
 )
 
@@ -388,6 +408,31 @@ class TestKernelByteIdentity:
             reference = self._artifacts(tmp_path, model_file, capsys, m, "reference")
         assert shipped == reference
 
+    @staticmethod
+    def _simulation(tmp_path, capsys, monkeypatch, tag, argv):
+        (tmp_path / tag).mkdir()
+        monkeypatch.chdir(tmp_path / tag)
+        assert main(argv + ["--csv-out", "sim.csv", "--frames-out", "frames"]) == EXIT_OK
+        frames = {p.name: p.read_bytes() for p in sorted(Path("frames").iterdir())}
+        return Path("sim.csv").read_bytes(), capsys.readouterr().out, frames
+
+    @pytest.mark.parametrize(
+        "argv, pgm_count",
+        [
+            (["simulate", "--steps", "6", "--trials", "2"], 4 * 7),  # the default world and k grid
+            (["simulate", "--height", "5", "--width", "3", "--vocab", "7", "--stay-mass", "0.6",
+              "--k-grid", "1", "2", "4", "7", "--steps", "9", "--trials", "3", "--seed", "31"], 4 * 10),
+        ],
+        ids=["defaults", "small-world"],
+    )
+    def test_simulate_csv_stdout_and_frames_match_the_reference(self, tmp_path, capsys, monkeypatch, argv,
+                                                                pgm_count):
+        shipped = self._simulation(tmp_path, capsys, monkeypatch, "shipped", argv)
+        with monkeypatch.context() as m:
+            m.setattr(framesim, "predict_frame", reference_predict_frame)
+            reference = self._simulation(tmp_path, capsys, m, "reference", argv)
+        assert len(shipped[2]) == pgm_count and shipped == reference
+
 
 class TestSimulate:
     def test_default_grid_and_frozen_k1_rows(self, tmp_path, capsys):
@@ -443,6 +488,39 @@ class TestSimulate:
 
     def test_missing_csv_out_is_a_usage_error(self, capsys):
         assert main(["simulate", "--steps", "1", "--trials", "1"]) == EXIT_USAGE
+
+    # Each cap at its value and at one more, through the parameter check alone:
+    # nothing is ever run or allocated at these sizes.
+    @pytest.mark.parametrize(
+        "what, at_cap, above_cap",
+        [
+            ("height * width * vocab", {"height": 1, "width": 1, "vocab": 2**20}, {"vocab": 2**20 + 1}),
+            ("steps", {"height": 1, "width": 1, "steps": 10_000}, {"steps": 10_001}),
+            ("trials", {"height": 1, "width": 1, "trials": 1_000}, {"trials": 1_001}),
+            ("the number of k values", {"height": 1, "width": 1, "k_grid": list(range(1, 65))},
+             {"k_grid": list(range(1, 66))}),
+            # 64 * 1 * 64 * 1024 = 2**22 frame patches; 5 * 1 * 397 * 2113 = 2**22 + 1
+            ("k values * trials * steps * height * width",
+             {"height": 1, "width": 1024, "vocab": 2, "k_grid": list(range(1, 65)), "trials": 1, "steps": 64},
+             {"width": 2113, "k_grid": [1, 2, 3, 4, 5], "steps": 397}),
+        ],
+    )
+    def test_size_caps(self, tmp_path, what, at_cap, above_cap):
+        def merged(config):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            return cli._merged_params(cli.build_parser().parse_args(["simulate", "--config", str(cfg)]), "simulate")
+
+        assert merged(at_cap)
+        with pytest.raises(ValueError, match=rf"^{re.escape(what)} is \d+, above the cap of \d+$"):
+            merged({**at_cap, **above_cap})
+
+    def test_a_size_above_its_cap_exits_before_running(self, tmp_path, capsys):
+        # --steps 0 would fail in the run itself, with another message
+        argv = ["simulate", "--trials", "1001", "--steps", "0", "--csv-out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: trials is 1001, above the cap of 1000\n"
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestParserContract:

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decodelab import (
     RandomStream,
@@ -11,12 +13,18 @@ from decodelab import (
     build_world,
     frame_to_pgm,
     k_sweep,
+    logits_from_masses,
     novelty_curve,
     predict_frame,
     random_frame,
     rollout,
+    run_pipeline,
 )
+from test_sampler import BELOW_ONE, ScriptedStream
+
+from decodelab import framesim
 from decodelab.framesim import _freeze_index
+from decodelab.probcore import by_token_index
 
 K1 = SamplerConfig(1.0, 1, 1.0, 0.0)
 
@@ -259,3 +267,176 @@ class TestPgmRendering:
             frame_to_pgm(np.array([[16]]), 16)
         with pytest.raises(ValueError):
             frame_to_pgm(np.array([[0.5]]), 16)
+
+
+# -- Frozen per-patch reference -------------------------------------------------
+#
+# The frame step as it stood before predict_frame became one batched pass: one
+# conditional per patch, built token by token, and one run_pipeline call per
+# patch in row-major order.  The batched pass must reproduce it bit for bit:
+# frames, trace JSON and stream position.
+
+
+def reference_conditional(world, stay, neighbors):
+    v = world.vocab
+    rest = 1.0 - world.stay_mass
+    base = rest / (v - 1)
+    w = world.token_bias.copy()
+    for t in neighbors:
+        if t != stay:
+            w[t] += world.neighbor_gain
+    mask = np.ones(v, dtype=bool)
+    mask[stay] = False
+    dev = w[mask]
+    dev = dev - dev.mean()
+    peak = np.abs(dev).max()
+    if peak > 0.0:
+        dev *= 0.9 * min(world.stay_mass - base, base) / peak
+    out = np.empty(v, dtype=np.float64)
+    out[mask] = base + dev
+    out[stay] = world.stay_mass
+    return out
+
+
+def reference_predict_frame(world, prev, cfg, rng, *, want_traces=True):
+    prev = np.asarray(prev)
+    h, w = world.height, world.width
+    out = np.empty((h, w), dtype=np.int64)
+    traces = []
+    for i in range(h):
+        for j in range(w):
+            stay = int(prev[i, j])
+            neighbors = []
+            if i > 0:
+                neighbors.append(int(prev[i - 1, j]))
+            if i < h - 1:
+                neighbors.append(int(prev[i + 1, j]))
+            if j > 0:
+                neighbors.append(int(prev[i, j - 1]))
+            if j < w - 1:
+                neighbors.append(int(prev[i, j + 1]))
+            z = logits_from_masses(reference_conditional(world, stay, neighbors))
+            token, trace = run_pipeline(z, cfg, rng, want_trace=want_traces)
+            out[i, j] = token
+            if want_traces:
+                traces.append(trace)
+    out.flags.writeable = False
+    return out, tuple(traces) if want_traces else None
+
+
+def edge_paths(cfg, traces):
+    """The rarely taken pipeline paths that the reference traces went through."""
+    seen = set()
+    for t in traces:
+        if t.argmax_mode:
+            seen.add("argmax")
+            continue
+        after_k, after_p, after_min_p = t.stages[1:]
+        if np.add.accumulate(after_k.masses)[-1] < cfg.top_p:
+            seen.add("top-p past the end")
+        if cfg.min_p > 0.0 and np.all(after_p.masses < cfg.min_p):
+            seen.add("min-p fallback")
+            if after_min_p.index_map[0] != after_p.index_map[0]:
+                seen.add("min-p fallback off position 0")
+        if after_min_p.survivor_count > 1:
+            masses, _ = by_token_index(after_min_p.masses, after_min_p.index_map)
+            if np.add.accumulate(masses)[-1] <= t.drawn_uniform:
+                seen.add("draw clamp")
+    return seen
+
+
+def assert_same_as_reference(world, prev, cfg, uniforms):
+    """Batched and reference frame steps agree; returns the reference's edge paths."""
+    for want_traces in (False, True):
+        ours_rng, ref_rng = ScriptedStream(uniforms), ScriptedStream(uniforms)
+        frame, traces = predict_frame(world, prev, cfg, ours_rng, want_traces=want_traces)
+        ref_frame, ref_traces = reference_predict_frame(world, prev, cfg, ref_rng, want_traces=want_traces)
+        np.testing.assert_array_equal(frame, ref_frame)
+        assert frame.dtype == np.int64 and not frame.flags.writeable
+        assert ours_rng.position == ref_rng.position == (0 if cfg.temperature == 0.0 else prev.size)
+        if want_traces:
+            assert [t.to_json() for t in traces] == [t.to_json() for t in ref_traces]
+            assert all(not s.masses.flags.writeable and not s.index_map.flags.writeable
+                       for t in traces for s in t.stages)
+        else:
+            assert traces is None and ref_traces is None
+    return edge_paths(cfg, ref_traces)
+
+
+@st.composite
+def frame_cases(draw):
+    h = draw(st.sampled_from([1, 1, 2, 3, 5, 8]), label="height")
+    w = draw(st.sampled_from([1, 1, 2, 3, 5, 8]), label="width")
+    v = draw(st.one_of(st.just(2), st.integers(2, 19)), label="vocab")
+    stay_mass = draw(st.floats(1.0 / v, 1.0, exclude_min=True, exclude_max=True), label="stay_mass")
+    gain = draw(st.sampled_from([0.0, 0.3, 1.0, 2.5]), label="gain")
+    world = build_world(h, w, v, stay_mass, seed=draw(st.integers(0, 2**32 - 1)), neighbor_gain=gain)
+    prev = np.array(draw(st.lists(st.integers(0, v - 1), min_size=h * w, max_size=h * w))).reshape(h, w)
+    cfg = SamplerConfig(
+        draw(st.sampled_from([0.0, 0.05, 0.5, 1.0, 3.0, 1e16])),
+        draw(st.integers(1, v + 2)),
+        draw(st.one_of(st.sampled_from([1.0, 0.9, 0.5, 0.2]), st.floats(0.0, 1.0, exclude_min=True))),
+        draw(st.one_of(st.sampled_from([0.0, 0.05, 0.2, 0.6]), st.floats(0.0, 0.99))),
+    )
+    uniform = st.one_of(st.sampled_from([0.0, BELOW_ONE]), st.floats(0.0, 1.0, exclude_max=True))
+    uniforms = draw(st.lists(uniform, min_size=h * w, max_size=h * w), label="uniforms")
+    return world, prev, cfg, uniforms
+
+
+class TestBatchedFrameMatchesReference:
+    """predict_frame against the frozen per-patch loop: exact frames, trace bytes and stream position."""
+
+    @settings(max_examples=300)
+    @given(frame_cases())
+    def test_same_frame_trace_bytes_and_stream_position(self, case):
+        assert_same_as_reference(*case)
+
+    @pytest.mark.parametrize(
+        "shape, vocab, stay_mass, seed, prev, cfg, uniforms, path",
+        [
+            # argmax mode: every patch stays, no uniform is taken
+            ((3, 4), 16, 0.9, 5, None, SamplerConfig(0.0, 4, 0.9, 0.1), None, "argmax"),
+            # a huge temperature ties every mass; min-p keeps token 0 alone
+            ((2, 3), 6, 0.5, 8, None, SamplerConfig(1e300, 6, 1.0, 0.6), None, "min-p fallback"),
+            # renormalizing after top-p ties the stay token with a lower index
+            ((1, 3), 5, 0.8, 299, [[4, 1, 1]], SamplerConfig(1e16, 5, 0.5, 0.6), None,
+             "min-p fallback off position 0"),
+            # the top-k masses sum to just below 1, so top_p = 1 searches past the end
+            ((8, 8), 16, 0.9, 3, None, SamplerConfig(1.0, 16, 1.0, 0.0), None, "top-p past the end"),
+            # a uniform above the rounded-down total draws the highest surviving index
+            ((8, 8), 16, 0.9, 3, None, SamplerConfig(1.0, 16, 1.0, 0.0), BELOW_ONE, "draw clamp"),
+            # 1x1 and 1xW and Hx1 grids have 0, 1 or 2 neighbors per patch
+            ((1, 1), 2, 0.9, 1, [[1]], SamplerConfig(1.0, 2, 1.0, 0.0), 0.95, None),
+            ((1, 7), 3, 0.5, 2, None, SamplerConfig(2.0, 2, 0.9, 0.05), None, None),
+            ((6, 1), 4, 0.4, 4, None, SamplerConfig(0.5, 3, 0.8, 0.2), None, None),
+        ],
+    )
+    def test_edge_paths(self, shape, vocab, stay_mass, seed, prev, cfg, uniforms, path):
+        world = build_world(*shape, vocab, stay_mass, seed=seed)
+        prev = random_frame(*shape, vocab, seed=seed) if prev is None else np.array(prev)
+        stream = RandomStream(seed)
+        uniforms = [stream.next_uniform() if uniforms is None else uniforms for _ in range(prev.size)]
+        seen = assert_same_as_reference(world, prev, cfg, uniforms)
+        assert path is None or path in seen
+
+    def test_real_stream_rollout_matches_the_reference(self, monkeypatch):
+        world = small_world(seed=21)
+        prompt = random_frame(8, 8, 16, seed=22)
+        cfg = SamplerConfig(0.9, 6, 0.95, 0.02, seed=23)
+        shipped = rollout(world, prompt, cfg, steps=8)
+        monkeypatch.setattr(framesim, "predict_frame", reference_predict_frame)
+        assert rollout(world, prompt, cfg, steps=8).to_json_dict() == shipped.to_json_dict()
+
+    @settings(max_examples=100)
+    @given(
+        vocab=st.integers(2, 19),
+        stay=st.data(),
+        gain=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conditional_is_the_reference_conditional(self, vocab, stay, gain, seed):
+        world = build_world(2, 2, vocab, 0.5 + 0.5 / vocab, seed=seed, neighbor_gain=gain)
+        token = stay.draw(st.integers(0, vocab - 1), label="stay")
+        neighbors = stay.draw(st.lists(st.integers(0, vocab - 1), max_size=4), label="neighbors")
+        got = world.conditional(token, neighbors)
+        assert got.tobytes() == reference_conditional(world, token, neighbors).tobytes()

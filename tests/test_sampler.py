@@ -22,6 +22,7 @@ from decodelab import (
     full_distribution,
     min_p_filter,
     run_pipeline,
+    sample_rows,
     softmax,
     sort_descending,
     top_k_filter,
@@ -82,6 +83,14 @@ class TestRandomStream:
         s = RandomStream(9)
         for _ in range(1000):
             assert 0.0 <= s.next_uniform() < 1.0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+    def test_next_uniforms_equals_repeated_next_uniform(self, n):
+        batched, single = RandomStream(2024), RandomStream(2024)
+        got = batched.next_uniforms(n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tolist() == [single.next_uniform() for _ in range(n)]
+        assert batched.next_uniform() == single.next_uniform()  # same position after
 
     def test_frozen_anchor_values(self):
         # regression anchor: the generator algorithm is part of the contract
@@ -500,3 +509,73 @@ class TestKernelMatchesReference:
                 run_pipeline(bad, SamplerConfig(1.0, 3), RandomStream(0))
             with pytest.raises(ValueError):
                 reference_run_pipeline(bad, SamplerConfig(1.0, 3), RandomStream(0))
+
+
+class ScriptedStream:
+    """Stands in for a RandomStream: hands out a fixed list of uniforms, so a
+    test can reach values a seed rarely gives (0.0, the largest double below 1)."""
+
+    def __init__(self, uniforms):
+        self.uniforms = [float(u) for u in uniforms]
+        self.position = 0
+
+    def next_uniform(self):
+        self.position += 1
+        return self.uniforms[self.position - 1]
+
+    def next_uniforms(self, n):
+        self.position += n
+        assert self.position <= len(self.uniforms)
+        return np.array(self.uniforms[self.position - n : self.position])
+
+
+BELOW_ONE = float(np.nextafter(1.0, 0.0))
+_row_count = st.integers(min_value=1, max_value=6)
+differential_matrices = st.tuples(st.integers(min_value=1, max_value=40), _row_count).flatmap(
+    lambda shape: arrays(np.float64, (shape[1], shape[0]), elements=st.one_of(_tie_prone, _wide, _extreme))
+)
+_uniform = st.one_of(st.sampled_from([0.0, BELOW_ONE]), st.floats(0.0, 1.0, exclude_max=True))
+
+
+class TestSampleRowsMatchesPipeline:
+    """sample_rows against run_pipeline on each row: exact tokens and trace bytes."""
+
+    @staticmethod
+    def _check(z, cfg, uniforms):
+        with np.errstate(over="ignore"):
+            tokens, traces = sample_rows(z, cfg, None if cfg.temperature == 0.0 else np.array(uniforms))
+            bare, none = sample_rows(z, cfg, None if cfg.temperature == 0.0 else np.array(uniforms),
+                                     want_traces=False)
+            stream = ScriptedStream(uniforms)
+            ref = [run_pipeline(row, cfg, stream) for row in z]
+        assert none is None
+        assert tokens.tolist() == bare.tolist() == [t for t, _ in ref]
+        assert [t.to_json() for t in traces] == [t.to_json() for _, t in ref]
+
+    @settings(max_examples=300)
+    @given(differential_matrices, differential_configs, st.data())
+    def test_same_tokens_and_trace_bytes(self, z, cfg, data):
+        uniforms = data.draw(st.lists(_uniform, min_size=len(z), max_size=len(z)), label="uniforms")
+        self._check(z, cfg, uniforms)
+
+    def test_rows_with_different_survivor_counts(self):
+        # one call: top-p and min-p cut the rows to different lengths, two rows share
+        # a min-p length, min-p leaves one row as it is and falls back on another
+        z = np.array([
+            np.linspace(4.0, -4.0, 12), np.zeros(12), np.linspace(0.0, 1.0, 12), np.arange(12.0) % 3,
+            np.linspace(2.0, -2.0, 12),
+        ])
+        cfg = SamplerConfig(1.3, 10, 0.8, 0.13)
+        self._check(z, cfg, [0.1, 0.5, 0.9, BELOW_ONE, 0.3])
+        _, traces = sample_rows(z, cfg, np.zeros(5))
+        assert [[s.survivor_count for s in t.stages[2:]] for t in traces] == [[3, 3], [9, 1], [8, 3], [7, 4], [5, 4]]
+
+    def test_rejects_bad_shapes_and_missing_uniforms(self):
+        cfg = SamplerConfig(1.0, 3)
+        for bad in (np.zeros(3), np.zeros((0, 3)), np.array([[0.0, np.nan]])):
+            with pytest.raises(ValueError):
+                sample_rows(bad, cfg, np.zeros(1))
+        with pytest.raises(ValueError):
+            sample_rows(np.zeros((2, 3)), cfg, None)
+        with pytest.raises(ValueError):
+            sample_rows(np.zeros((2, 3)), cfg, np.zeros(3))
