@@ -89,12 +89,31 @@ _PARAMS: dict[str, dict[str, tuple[type, object, str]]] = {
     },
 }
 
+
+def _grid_rows(p: dict) -> int:
+    return len(p["temps"]) * len(p["top_ks"]) * len(p["top_ps"]) * len(p["min_ps"])
+
+
 #: ``_SIZE_CAPS[command] = [(what, size, cap), ...]``: the largest sizes a run
 #: may request, checked once all values are merged and before anything is
-#: allocated; a size above its cap is a usage error (exit 2).  A ``simulate``
-#: frame step holds a few ``(height * width, vocab)`` float64 arrays, and every
-#: predicted frame of the sweep is kept until the CSV is written.
+#: allocated; a size above its cap is a usage error (exit 2).  Training runs
+#: one counting pass per order.  A generated token keeps its sampling trace
+#: (a few KB) until the command ends, and a sweep runs every grid row.  A
+#: ``simulate`` frame step holds a few ``(height * width, vocab)`` float64
+#: arrays, and every predicted frame of the sweep is kept until the CSV is
+#: written.
 _SIZE_CAPS: dict[str, list[tuple[str, Callable[[dict], int], int]]] = {
+    "train": [
+        ("order", lambda p: p["order"], 32),
+    ],
+    "generate": [
+        ("max_len", lambda p: p["max_len"], 10_000),
+    ],
+    "sweep": [
+        ("max_len", lambda p: p["max_len"], 10_000),
+        ("the number of grid rows", _grid_rows, 4_096),
+        ("grid rows * max_len", lambda p: _grid_rows(p) * p["max_len"], 2**22),
+    ],
     "simulate": [
         ("height * width * vocab", lambda p: p["height"] * p["width"] * p["vocab"], 2**20),
         ("steps", lambda p: p["steps"], 10_000),

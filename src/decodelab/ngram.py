@@ -18,6 +18,15 @@ Smoothing and backoff semantics:
   logits stay finite; the distortion (1e-300 of mass) is far below every
   tolerance in the package.
 
+Storage: the counts of each order ``m`` are one dense ``(contexts, D)``
+int64 matrix whose rows are the order's length ``m-1`` contexts in
+lexicographic order, plus a map from context tuple to row.  Training counts
+every window of an order in one array pass, saving emits the sparse JSON
+from the nonzero entries of each matrix, and loading parses each level
+straight into its matrix.  The model file format is the sparse JSON it has
+always been.  ``logits_for`` memoizes its result per trailing context and
+returns read-only arrays: callers share them and must not write to them.
+
 Tokenization is per character: uppercase folds to lowercase, anything
 outside the alphabet maps to the blank token, one token per input character.
 """
@@ -34,6 +43,22 @@ from .probcore import TokenAlphabet, TokenId, default_alphabet, logits_from_mass
 
 FORMAT_NAME = "decodelab-ngram"
 FORMAT_VERSION = 1
+
+#: The most count cells (contexts over all orders x alphabet size) a model
+#: may hold: 2^24 int64 cells are 128 MiB.  Loading checks a document
+#: against it before allocating anything, and training refuses to build a
+#: model that loading would refuse.
+MAX_COUNT_CELLS = 2**24
+
+#: The most logit cells (memoized contexts x alphabet size) a model keeps
+#: for ``logits_for``; the memo starts over when it is full.
+MEMO_CELLS = 2**20
+
+_INT64_MAX = 2**63 - 1
+
+#: ``levels[m-1] = (contexts, counts)``: the order-m contexts as length m-1
+#: tuples in lexicographic order, and their ``(len(contexts), D)`` counts.
+Levels = list[tuple[list[tuple[TokenId, ...]], np.ndarray]]
 
 
 class ModelFormatError(ValueError):
@@ -62,23 +87,31 @@ def _json_number(value, what: str) -> float:
         raise ModelFormatError(f"{what} is beyond the float range") from None
 
 
+def _check_cells(cells: int, error: type[ValueError]) -> None:
+    if cells > MAX_COUNT_CELLS:
+        raise error(
+            f"the model needs {cells} count cells (contexts x alphabet size), above the cap of {MAX_COUNT_CELLS}"
+        )
+
+
 def tokenize(text: str, alphabet: TokenAlphabet | None = None) -> tuple[TokenId, ...]:
     """Map text to token ids, one per character (a total function).
 
     Uppercase characters fold to lowercase; any character not in the
-    alphabet (after folding) maps to the blank token.
+    alphabet (after folding) maps to the blank token.  Each distinct
+    character is mapped once.
     """
     alphabet = alphabet or default_alphabet()
     blank = alphabet.index_of(" ")
     if blank is None:
         raise ValueError("alphabet has no blank token to absorb out-of-alphabet characters")
-    out = []
-    for ch in text:
+    table = {}
+    for ch in set(text):
         folded = ch.lower()
         # Some case folds expand to several characters; those are out-of-alphabet.
         tok = alphabet.index_of(folded) if len(folded) == 1 else None
-        out.append(blank if tok is None else tok)
-    return tuple(out)
+        table[ch] = blank if tok is None else tok
+    return tuple(map(table.__getitem__, text))
 
 
 def detokenize(tokens: Sequence[TokenId], alphabet: TokenAlphabet | None = None) -> str:
@@ -90,34 +123,38 @@ def detokenize(tokens: Sequence[TokenId], alphabet: TokenAlphabet | None = None)
 class NGramModel:
     """Immutable n-gram counts plus the smoothing/backoff conditional.
 
-    ``tables[m]`` maps a length ``m-1`` context tuple to a dense count
-    vector over the alphabet, for every order ``m`` from 1 to ``order``;
-    the lower orders exist to serve backoff queries.
+    ``levels[m-1]`` holds order ``m``'s contexts (length ``m-1`` tuples in
+    lexicographic order) and their dense ``(contexts, D)`` int64 count
+    matrix, row ``i`` counting what followed context ``i``, for every order
+    ``m`` from 1 to ``order``; the lower orders exist to serve backoff
+    queries.
+
+    ``logits_for`` memoizes its result per trailing context (the last
+    ``order - 1`` tokens, or the whole context when it is shorter) and
+    returns read-only arrays that later calls share.
     """
 
-    def __init__(
-        self,
-        order: int,
-        alpha: float,
-        alphabet: TokenAlphabet,
-        tables: dict[int, dict[tuple[TokenId, ...], np.ndarray]],
-    ):
+    def __init__(self, order: int, alpha: float, alphabet: TokenAlphabet, levels: Levels):
         if order < 1:
             raise ValueError(f"order must be >= 1 (got {order})")
         if not (np.isfinite(alpha) and alpha >= 0):
             raise ValueError(f"alpha must be finite and >= 0 (got {alpha!r})")
-        unigram = tables.get(1, {}).get(())
-        if alpha == 0 and (unigram is None or unigram.sum() == 0):
+        totals = [counts.sum(axis=1).tolist() for _, counts in levels]
+        if alpha == 0 and not (levels[0][0] == [()] and totals[0][0] > 0):
             raise ValueError("alpha = 0 needs unigram counts with a positive total")
         self.order = int(order)
         self.alpha = float(alpha)
         self.alphabet = alphabet
-        self._tables = tables
+        self._levels = levels
+        self._totals = totals
+        self._rows = [dict(zip(contexts, range(len(contexts)))) for contexts, _ in levels]
+        self._memo: dict[tuple, np.ndarray] = {}
+        self._memo_limit = max(1, MEMO_CELLS // alphabet.size)
 
     def context_count(self, order: int | None = None) -> int:
         """Number of distinct contexts at the given order (default: top order)."""
         m = self.order if order is None else order
-        return len(self._tables.get(m, {}))
+        return len(self._levels[m - 1][0]) if 1 <= m <= self.order else 0
 
     def conditional(self, context: Sequence[TokenId]) -> np.ndarray:
         """Smoothed next-token distribution given the trailing context."""
@@ -125,30 +162,44 @@ class NGramModel:
         ctx = tuple(int(t) for t in context)
         start = min(self.order, len(ctx) + 1)
         for m in range(start, 0, -1):
-            ctx_m = ctx[len(ctx) - (m - 1) :] if m > 1 else ()
-            counts = self._tables[m].get(ctx_m)
-            total = int(counts.sum()) if counts is not None else 0
+            row = self._rows[m - 1].get(ctx[len(ctx) - m + 1 :])
+            total = 0 if row is None else self._totals[m - 1][row]
             if total > 0 or self.alpha > 0:
-                if counts is None:
-                    counts = np.zeros(d, dtype=np.int64)
+                counts = np.zeros(d, dtype=np.int64) if row is None else self._levels[m - 1][1][row]
                 return (counts + self.alpha) / (total + self.alpha * d)
         # Unreachable: the constructor ensures the unigram level returns.
 
     def logits_for(self, context: Sequence[TokenId]) -> np.ndarray:
-        """Log of the smoothed conditional, floored so every entry is finite."""
-        return logits_from_masses(self.conditional(context))
+        """Log of the smoothed conditional, floored so every entry is finite.
+
+        The array is read-only: it is memoized per trailing context and
+        shared by every later call with the same one.
+        """
+        key = tuple(context[max(0, len(context) - self.order + 1) :])
+        z = self._memo.get(key)
+        if z is None:
+            z = logits_from_masses(self.conditional(key))
+            z.setflags(write=False)
+            if len(self._memo) >= self._memo_limit:
+                self._memo.clear()
+            self._memo[key] = z
+        return z
 
     # -- persistence -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        tok_keys = [str(t) for t in range(self.alphabet.size)]
         counts: dict[str, dict[str, dict[str, int]]] = {}
-        for m, table in self._tables.items():
+        for m, (contexts, matrix) in enumerate(self._levels, start=1):
+            # Row-major: rows ascending, and tokens ascending within a row.
+            rows, toks = np.nonzero(matrix)
+            values = matrix[rows, toks].tolist()
+            keys = [tok_keys[t] for t in toks.tolist()]
+            starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
+            ends = starts[1:] + [len(values)]
             level: dict[str, dict[str, int]] = {}
-            for ctx, arr in table.items():
-                nz = np.flatnonzero(arr)
-                if nz.size:
-                    key = ",".join(str(t) for t in ctx)
-                    level[key] = {str(int(t)): int(arr[t]) for t in nz}
+            for row, s, e in zip(rows[starts].tolist(), starts, ends):
+                level[",".join(map(str, contexts[row]))] = dict(zip(keys[s:e], values[s:e]))
             counts[str(m)] = level
         return {
             "format": FORMAT_NAME,
@@ -184,27 +235,21 @@ class NGramModel:
             )
             size = alphabet.size
             counts = _json_object(d["counts"], "counts")
-            # Check the order against the document before allocating anything per order.
+            # Check the order and the size of the matrices against the
+            # document before allocating anything per order.
             if order != len(counts) or set(counts) != {str(m) for m in range(1, order + 1)}:
                 raise ModelFormatError(f"count tables must be exactly '1'..'{order}' (got {sorted(counts)})")
-            tables: dict[int, dict[tuple[TokenId, ...], np.ndarray]] = {m: {} for m in range(1, order + 1)}
-            for m_str, level in counts.items():
-                m = int(m_str)
-                for key, sparse in _json_object(level, f"count table {m_str!r}").items():
-                    ctx = tuple(int(t) for t in key.split(",")) if key else ()
-                    if len(ctx) != m - 1 or any(not 0 <= t < size for t in ctx):
-                        raise ModelFormatError(f"bad context key {key!r} for order {m}")
-                    arr = np.zeros(size, dtype=np.int64)
-                    for tok_str, count in _json_object(sparse, f"counts of context {key!r}").items():
-                        tok = int(tok_str)
-                        # Checked inline (type() refuses bool and float): this runs once per stored count.
-                        if type(count) is not int or count < 0 or not 0 <= tok < size:
-                            raise ModelFormatError(f"bad count entry {tok_str!r}: {json.dumps(count)}")
-                        arr[tok] = count
-                    tables[m][ctx] = arr
-            if () not in tables.get(1, {}):
+            _check_cells(size * sum(len(level) for level in counts.values() if isinstance(level, dict)),
+                         ModelFormatError)
+            tok_of = {str(t): t for t in range(size)}
+            by_order = {
+                int(m_str): _parse_level(int(m_str), _json_object(level, f"count table {m_str!r}"), size, tok_of)
+                for m_str, level in counts.items()
+            }
+            levels = [by_order[m] for m in range(1, order + 1)]
+            if not levels[0][0]:
                 raise ModelFormatError("model document lacks unigram counts")
-            return cls(order, alpha, alphabet, tables)
+            return cls(order, alpha, alphabet, levels)
         except ModelFormatError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -219,6 +264,75 @@ class NGramModel:
         return cls.from_json_dict(doc)
 
 
+def _parse_level(m: int, level: dict, size: int, tok_of: dict[str, int]):
+    """One order's count table: its contexts in lexicographic order and their matrix."""
+    entries = _canonical_entries(m, level, tok_of) or _checked_entries(m, level, size, tok_of)
+    contexts, lens, toks, values = entries
+    by_context = sorted(range(len(contexts)), key=contexts.__getitem__)
+    rows = np.empty(len(contexts), dtype=np.int64)
+    rows[by_context] = np.arange(len(contexts))
+    matrix = np.zeros((len(contexts), size), dtype=np.int64)
+    matrix[np.repeat(rows, lens), toks] = values
+    return [contexts[i] for i in by_context], matrix
+
+
+def _canonical_entries(m: int, level: dict, tok_of: dict[str, int]):
+    """The entries of a table written as :meth:`NGramModel.to_json_dict` writes
+    them (every id spelled ``str(t)`` with ``t < D``, counts JSON integers in
+    the int64 range): (contexts, entries per context, tokens, counts) in
+    document order.  None for any other table, which
+    :func:`_checked_entries` then parses or rejects entry by entry."""
+    lookup = tok_of.__getitem__
+    contexts, lens, toks, values = [], [], [], []
+    try:
+        for key, sparse in level.items():
+            ctx = tuple(map(lookup, key.split(","))) if key else ()
+            if len(ctx) != m - 1 or type(sparse) is not dict:
+                return None
+            contexts.append(ctx)
+            lens.append(len(sparse))
+            toks += map(lookup, sparse)
+            values += sparse.values()
+    except KeyError:
+        return None
+    if not set(map(type, values)) <= {int} or (values and not 0 <= min(values) <= max(values) <= _INT64_MAX):
+        return None
+    return contexts, lens, toks, values
+
+
+def _checked_entries(m: int, level: dict, size: int, tok_of: dict[str, int]):
+    """The entries of a table checked one by one in document order, raising
+    at the first bad one.  A context or token written twice (``"1"`` and
+    ``"01"``) keeps its last entry, as assigning into per-context arrays in
+    document order did."""
+    parsed: dict[tuple[TokenId, ...], dict[TokenId, int]] = {}
+    for key, sparse in level.items():
+        ctx = tuple(int(t) for t in key.split(",")) if key else ()
+        if len(ctx) != m - 1 or any(not 0 <= t < size for t in ctx):
+            raise ModelFormatError(f"bad context key {key!r} for order {m}")
+        row = {}
+        for tok_str, count in _json_object(sparse, f"counts of context {key!r}").items():
+            tok = tok_of.get(tok_str)
+            if tok is None:
+                tok = int(tok_str)
+            if type(count) is not int or not 0 <= count <= _INT64_MAX or not 0 <= tok < size:
+                raise ModelFormatError(f"bad count entry {tok_str!r}: {json.dumps(count)}")
+            row[tok] = count
+        parsed[ctx] = row
+    rows = parsed.values()
+    return list(parsed), [len(r) for r in rows], [t for r in rows for t in r], [c for r in rows for c in r.values()]
+
+
+def _corpus_array(corpus: Sequence[TokenId], order: int, size: int) -> np.ndarray:
+    tokens = list(map(int, corpus))
+    if len(tokens) < order:
+        raise ValueError(f"corpus has {len(tokens)} tokens but order-{order} training needs at least {order}")
+    if not (0 <= min(tokens) and max(tokens) < size):
+        bad = next(t for t in tokens if not 0 <= t < size)
+        raise ValueError(f"corpus token {bad} outside alphabet of size {size}")
+    return np.array(tokens, dtype=np.int64)
+
+
 def train_ngram(
     corpus: Sequence[TokenId],
     order: int,
@@ -230,28 +344,43 @@ def train_ngram(
     Lower-order tables are counted directly from the corpus (not derived
     from the top order) so backoff conditionals are themselves exact window
     statistics.  Deterministic in its inputs.
+
+    Each order is one array pass.  Window ``i`` of order ``m`` has the row
+    ``r`` of its context, so its code ``r * D + next`` is below
+    ``contexts * D <= n * D`` whatever the order and the alphabet size, its
+    counts are one ``bincount`` of the codes, and the codes seen rank the
+    m-grams lexicographically: their ranks are the rows of order ``m+1``'s
+    contexts.
     """
     alphabet = alphabet or default_alphabet()
     if order < 1:
         raise ValueError(f"order must be >= 1 (got {order})")
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0 (got {alpha!r})")
-    toks = tuple(int(t) for t in corpus)
-    if len(toks) < order:
-        raise ValueError(f"corpus has {len(toks)} tokens but order-{order} training needs at least {order}")
     size = alphabet.size
-    for t in toks:
-        if not 0 <= t < size:
-            raise ValueError(f"corpus token {t} outside alphabet of size {size}")
-    tables: dict[int, dict[tuple[TokenId, ...], np.ndarray]] = {m: {} for m in range(1, order + 1)}
+    toks = _corpus_array(corpus, order, size)
+    n = toks.size
+    levels: Levels = []
+    contexts: list[tuple[TokenId, ...]] = [()]
+    codes = np.zeros(n, dtype=np.int64)  # every order-1 window has the empty context, row 0
+    cells = 0
     for m in range(1, order + 1):
-        table = tables[m]
-        for i in range(len(toks) - m + 1):
-            ctx = toks[i : i + m - 1]
-            nxt = toks[i + m - 1]
-            arr = table.get(ctx)
-            if arr is None:
-                arr = np.zeros(size, dtype=np.int64)
-                table[ctx] = arr
-            arr[nxt] += 1
-    return NGramModel(order, alpha, alphabet, tables)
+        # Window i = 0 .. n-m: codes[i] holds the row of its context; add
+        # its next token, toks[i + m - 1] (in place: the arrays are corpus-sized).
+        codes *= size
+        codes += toks[m - 1 :]
+        cells += len(contexts) * size
+        _check_cells(cells, ValueError)
+        counts = np.bincount(codes, minlength=len(contexts) * size)
+        levels.append((contexts, counts.reshape(len(contexts), size)))
+        if m < order:
+            # Order m+1 conditions on the m-grams of every window but the last;
+            # the codes seen there, in ascending order, are its context rows.
+            seen = counts > 0
+            seen[codes[-1]] = counts[codes[-1]] > 1
+            rank = np.cumsum(seen)
+            rank -= 1
+            codes = rank[codes[:-1]]
+            prefix, nxt = np.divmod(np.flatnonzero(seen), size)
+            contexts = [contexts[r] + (t,) for r, t in zip(prefix.tolist(), nxt.tolist())]
+    return NGramModel(order, alpha, alphabet, levels)

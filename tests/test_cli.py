@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_framesim import reference_predict_frame
+from test_ngram import ReferenceNGramModel, reference_tokenize, reference_train_ngram
 from test_sampler import reference_run_pipeline
 
 from decodelab import (
@@ -409,6 +410,31 @@ class TestKernelByteIdentity:
         assert shipped == reference
 
     @staticmethod
+    def _text_run(tmp_path, corpus_file, capsys, monkeypatch, tag):
+        (tmp_path / tag).mkdir()
+        monkeypatch.chdir(tmp_path / tag)
+        assert main(["train", str(corpus_file), "model.json", "--order", "4", "--alpha", "0.05"]) == EXIT_OK
+        assert main([
+            "generate", "model.json", "--prompt", "The Cat", "--seed", "3", "--max-len", "60", "--temp", "1.2",
+            "--top-k", "30", "--top-p", "0.97", "--min-p", "0.01", "--trace-out", "trace.json",
+        ]) == EXIT_OK
+        assert main([
+            "sweep", "model.json", "--prompt", "at", "--temps", "0", "0.7", "1.5", "--top-ks", "2", "40",
+            "--top-ps", "0.9", "1", "--min-ps", "0", "0.1", "--max-len", "40", "--seed", "9", "--csv-out", "s.csv",
+        ]) == EXIT_OK
+        files = tuple(Path(name).read_bytes() for name in ("model.json", "trace.json", "s.csv"))
+        return files, capsys.readouterr().out
+
+    def test_train_generate_and_sweep_match_the_reference_model(self, tmp_path, corpus_file, capsys, monkeypatch):
+        shipped = self._text_run(tmp_path, corpus_file, capsys, monkeypatch, "shipped")
+        with monkeypatch.context() as m:
+            m.setattr(cli, "tokenize", reference_tokenize)
+            m.setattr(cli, "train_ngram", reference_train_ngram)
+            m.setattr(cli, "NGramModel", ReferenceNGramModel)
+            reference = self._text_run(tmp_path, corpus_file, capsys, m, "reference")
+        assert shipped == reference
+
+    @staticmethod
     def _simulation(tmp_path, capsys, monkeypatch, tag, argv):
         (tmp_path / tag).mkdir()
         monkeypatch.chdir(tmp_path / tag)
@@ -521,6 +547,55 @@ class TestSimulate:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == "error: trials is 1001, above the cap of 1000\n"
         assert not (tmp_path / "x.csv").exists()
+
+
+class TestTextSizeCaps:
+    # Each cap at its value and at one more, through the parameter check alone:
+    # nothing is ever run or allocated at these sizes.
+    @pytest.mark.parametrize(
+        "argv, what, at_cap, above_cap",
+        [
+            (["train", "c.txt", "m.json"], "order", {"order": 32}, {"order": 33}),
+            (["generate", "m.json"], "max_len", {"max_len": 10_000}, {"max_len": 10_001}),
+            (["sweep", "m.json"], "max_len", {"max_len": 10_000}, {"max_len": 10_001}),
+            # 64 * 64 = 4,096 rows; 17 * 241 = 4,097
+            (["sweep", "m.json"], "the number of grid rows",
+             {"temps": [1.0] * 64, "top_ks": list(range(1, 65)), "min_ps": [0.0], "max_len": 1},
+             {"temps": [1.0] * 17, "top_ks": list(range(1, 242))}),
+            # 4,096 rows * 1,024 = 2**22 tokens; 5 * 397 rows * 2,113 = 2**22 + 1
+            (["sweep", "m.json"], "grid rows * max_len",
+             {"temps": [1.0] * 64, "top_ks": list(range(1, 65)), "min_ps": [0.0], "max_len": 1_024},
+             {"temps": [1.0] * 5, "top_ks": list(range(1, 398)), "max_len": 2_113}),
+        ],
+    )
+    def test_size_caps(self, tmp_path, argv, what, at_cap, above_cap):
+        def merged(config):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            return cli._merged_params(cli.build_parser().parse_args(argv + ["--config", str(cfg)]), argv[0])
+
+        assert merged(at_cap)
+        with pytest.raises(ValueError, match=rf"^{re.escape(what)} is \d+, above the cap of \d+$"):
+            merged({**at_cap, **above_cap})
+
+    def test_a_size_above_its_cap_exits_before_running(self, tmp_path, capsys):
+        # the corpus does not exist: the cap fires before it is read
+        argv = ["train", str(tmp_path / "absent.txt"), str(tmp_path / "m.json"), "--order", "33"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: order is 33, above the cap of 32\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_a_model_over_the_count_cell_cap_is_a_format_error(self, tmp_path, capsys):
+        # 20,000 symbols x 2,001 contexts = 40,020,000 cells, in a 0.1 MB document
+        symbols = "".join(chr(0x4E00 + i) for i in range(20_000))
+        doc = {"format": "decodelab-ngram", "format_version": 1, "order": 2, "alpha": 0.1,
+               "alphabet": {"symbols": symbols, "eos_index": 0},
+               "counts": {"1": {"": {"0": 1}}, "2": {str(i): {"0": 1} for i in range(2_000)}}}
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["generate", str(path), "--max-len", "5"]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err == "error: the model needs 40020000 count cells (contexts x alphabet size), above the cap of 16777216\n"
 
 
 class TestParserContract:

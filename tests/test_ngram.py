@@ -1,17 +1,22 @@
 """Character n-gram model: tokenization, counting, smoothing, backoff, persistence."""
 
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decodelab import (
     ModelFormatError,
     NGramModel,
+    TokenAlphabet,
     default_alphabet,
     detokenize,
+    logits_from_masses,
+    ngram,
     softmax,
     tokenize,
     train_ngram,
@@ -20,6 +25,182 @@ from decodelab import (
 A = default_alphabet()
 a, b, c = A.index_of("a"), A.index_of("b"), A.index_of("c")
 BLANK = A.index_of(" ")
+
+
+# -- frozen reference: the loop tokenizer and the per-context model ---------
+#
+# Copies of the tokenizer and of the model that kept one count array per
+# context in a dict, before counts became dense matrices.  The shipped code
+# must give the same tokens, the same JSON bytes and the same conditional
+# and logit bits.
+
+
+def reference_tokenize(text, alphabet=None):
+    alphabet = alphabet or default_alphabet()
+    blank = alphabet.index_of(" ")
+    if blank is None:
+        raise ValueError("alphabet has no blank token to absorb out-of-alphabet characters")
+    out = []
+    for ch in text:
+        folded = ch.lower()
+        tok = alphabet.index_of(folded) if len(folded) == 1 else None
+        out.append(blank if tok is None else tok)
+    return tuple(out)
+
+
+def _ref_json_object(value, what):
+    if not isinstance(value, dict):
+        raise ModelFormatError(f"{what} must be a JSON object (got {type(value).__name__})")
+    return value
+
+
+def _ref_json_int(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelFormatError(f"{what} must be a JSON integer (got {json.dumps(value)})")
+    return value
+
+
+def _ref_json_number(value, what):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelFormatError(f"{what} must be a JSON number (got {json.dumps(value)})")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ModelFormatError(f"{what} is beyond the float range") from None
+
+
+class ReferenceNGramModel:
+    def __init__(self, order, alpha, alphabet, tables):
+        if order < 1:
+            raise ValueError(f"order must be >= 1 (got {order})")
+        if not (np.isfinite(alpha) and alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0 (got {alpha!r})")
+        unigram = tables.get(1, {}).get(())
+        if alpha == 0 and (unigram is None or unigram.sum() == 0):
+            raise ValueError("alpha = 0 needs unigram counts with a positive total")
+        self.order = int(order)
+        self.alpha = float(alpha)
+        self.alphabet = alphabet
+        self._tables = tables
+
+    def context_count(self, order=None):
+        m = self.order if order is None else order
+        return len(self._tables.get(m, {}))
+
+    def conditional(self, context):
+        d = self.alphabet.size
+        ctx = tuple(int(t) for t in context)
+        start = min(self.order, len(ctx) + 1)
+        for m in range(start, 0, -1):
+            ctx_m = ctx[len(ctx) - (m - 1) :] if m > 1 else ()
+            counts = self._tables[m].get(ctx_m)
+            total = int(counts.sum()) if counts is not None else 0
+            if total > 0 or self.alpha > 0:
+                if counts is None:
+                    counts = np.zeros(d, dtype=np.int64)
+                return (counts + self.alpha) / (total + self.alpha * d)
+
+    def logits_for(self, context):
+        return logits_from_masses(self.conditional(context))
+
+    def to_json_dict(self):
+        counts = {}
+        for m, table in self._tables.items():
+            level = {}
+            for ctx, arr in table.items():
+                nz = np.flatnonzero(arr)
+                if nz.size:
+                    key = ",".join(str(t) for t in ctx)
+                    level[key] = {str(int(t)): int(arr[t]) for t in nz}
+            counts[str(m)] = level
+        return {
+            "format": "decodelab-ngram",
+            "format_version": 1,
+            "order": self.order,
+            "alpha": self.alpha,
+            "alphabet": {"symbols": "".join(self.alphabet.symbols), "eos_index": self.alphabet.eos_index},
+            "counts": counts,
+        }
+
+    def save(self, path):
+        Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+    @classmethod
+    def from_json_dict(cls, d):
+        if not isinstance(d, dict) or d.get("format") != "decodelab-ngram":
+            raise ModelFormatError("not a decodelab n-gram model document")
+        if d.get("format_version") != 1:
+            raise ModelFormatError(f"unsupported model format version {d.get('format_version')!r} (expected 1)")
+        try:
+            alpha = _ref_json_number(d["alpha"], "alpha")
+            order = _ref_json_int(d["order"], "order")
+            alphabet = TokenAlphabet(
+                tuple(d["alphabet"]["symbols"]), _ref_json_int(d["alphabet"]["eos_index"], "eos_index")
+            )
+            size = alphabet.size
+            counts = _ref_json_object(d["counts"], "counts")
+            if order != len(counts) or set(counts) != {str(m) for m in range(1, order + 1)}:
+                raise ModelFormatError(f"count tables must be exactly '1'..'{order}' (got {sorted(counts)})")
+            tables = {m: {} for m in range(1, order + 1)}
+            for m_str, level in counts.items():
+                m = int(m_str)
+                for key, sparse in _ref_json_object(level, f"count table {m_str!r}").items():
+                    ctx = tuple(int(t) for t in key.split(",")) if key else ()
+                    if len(ctx) != m - 1 or any(not 0 <= t < size for t in ctx):
+                        raise ModelFormatError(f"bad context key {key!r} for order {m}")
+                    arr = np.zeros(size, dtype=np.int64)
+                    for tok_str, count in _ref_json_object(sparse, f"counts of context {key!r}").items():
+                        tok = int(tok_str)
+                        if type(count) is not int or count < 0 or not 0 <= tok < size:
+                            raise ModelFormatError(f"bad count entry {tok_str!r}: {json.dumps(count)}")
+                        arr[tok] = count
+                    tables[m][ctx] = arr
+            if () not in tables.get(1, {}):
+                raise ModelFormatError("model document lacks unigram counts")
+            return cls(order, alpha, alphabet, tables)
+        except ModelFormatError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"malformed model document: {exc}") from exc
+
+    @classmethod
+    def load(cls, path):
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
+        return cls.from_json_dict(doc)
+
+
+def reference_train_ngram(corpus, order, alpha, alphabet=None):
+    alphabet = alphabet or default_alphabet()
+    if order < 1:
+        raise ValueError(f"order must be >= 1 (got {order})")
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0 (got {alpha!r})")
+    toks = tuple(int(t) for t in corpus)
+    if len(toks) < order:
+        raise ValueError(f"corpus has {len(toks)} tokens but order-{order} training needs at least {order}")
+    size = alphabet.size
+    for t in toks:
+        if not 0 <= t < size:
+            raise ValueError(f"corpus token {t} outside alphabet of size {size}")
+    tables = {m: {} for m in range(1, order + 1)}
+    for m in range(1, order + 1):
+        table = tables[m]
+        for i in range(len(toks) - m + 1):
+            ctx = toks[i : i + m - 1]
+            nxt = toks[i + m - 1]
+            arr = table.get(ctx)
+            if arr is None:
+                arr = np.zeros(size, dtype=np.int64)
+                table[ctx] = arr
+            arr[nxt] += 1
+    return ReferenceNGramModel(order, alpha, alphabet, tables)
+
+
+def _dumps(model) -> str:
+    return json.dumps(model.to_json_dict(), sort_keys=True, indent=2)
 
 
 class TestTokenize:
@@ -48,6 +229,18 @@ class TestTokenize:
     def test_detokenize_round_trips_in_alphabet_text(self):
         s = "the cat, 42 mice.¶"
         assert detokenize(tokenize(s)) == s
+
+    # Multi-character case folds ("İ" -> "i̇", "ẞ" stays, "ﬁ" has no lower
+    # form), letters whose lower form is in the alphabet, and the EOS glyph.
+    SPECIALS = ["İ", "ẞ", "ß", "ﬁ", "Σ", "A", "Z", "a", " ", ".", ",", "¶", "\n", "\x00", "7"]
+
+    @settings(max_examples=300)
+    @given(
+        st.text(alphabet=st.one_of(st.characters(), st.sampled_from(SPECIALS)), max_size=120),
+        st.sampled_from([None, TokenAlphabet(tuple("ab İ¶"), 4), TokenAlphabet(tuple(" Aaß"), 0)]),
+    )
+    def test_matches_the_character_loop(self, text, alphabet):
+        assert tokenize(text, alphabet) == reference_tokenize(text, alphabet)
 
 
 class TestTrain:
@@ -193,3 +386,213 @@ class TestPersistence:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             NGramModel.load(tmp_path / "absent.json")
+
+
+class TestMemoizedLogits:
+    def test_memoized_logits_are_read_only_and_shared(self):
+        m = train_ngram(tokenize("the cat sat on the mat"), order=3, alpha=0.1)
+        z = m.logits_for(tokenize("the"))
+        assert not z.flags.writeable
+        with pytest.raises(ValueError):
+            z[0] = 0.0
+        # the same trailing order-1 = 2 tokens, "he": the same array
+        assert m.logits_for(tokenize("she")) is z
+        assert m.logits_for(list(tokenize("he"))) is z
+
+    def test_short_contexts_are_keyed_whole(self):
+        m = train_ngram(tokenize("abab cab"), order=4, alpha=0.0)
+        ref = reference_train_ngram(tokenize("abab cab"), order=4, alpha=0.0)
+        for ctx in [(), (a,), (c, a), (b,), (a, b), (c, c, a, b)]:
+            assert m.logits_for(ctx).tobytes() == ref.logits_for(ctx).tobytes()
+
+    def test_a_full_memo_starts_over(self, monkeypatch):
+        monkeypatch.setattr(ngram, "MEMO_CELLS", 2 * A.size)
+        m = train_ngram(tokenize("the cat sat on the mat"), order=2, alpha=0.1)
+        ref = reference_train_ngram(tokenize("the cat sat on the mat"), order=2, alpha=0.1)
+        for ctx in [(a,), (b,), (c,), (a,), (BLANK,)]:
+            assert m.logits_for(ctx).tobytes() == ref.logits_for(ctx).tobytes()
+            assert len(m._memo) <= 2
+
+
+# Small custom alphabets and the default one.  Corpora draw from a few
+# symbols of the alphabet, so that contexts repeat and backoff has work.
+ALPHABETS = [
+    TokenAlphabet(tuple("ab"), 1),
+    TokenAlphabet(tuple("xy¶"), 2),
+    TokenAlphabet(tuple("ab ."), 3),
+    TokenAlphabet(tuple("01234"), 0),
+    A,
+]
+
+
+@st.composite
+def trained_pairs(draw):
+    """(shipped model, reference model, corpus, contexts to query)."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    d = alphabet.size
+    used = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=min(d, 5), unique=True))
+    order = draw(st.integers(1, 6))
+    corpus = draw(st.lists(st.sampled_from(used), min_size=order, max_size=120))
+    alpha = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    seen = [tuple(corpus[i : i + j]) for i in range(len(corpus)) for j in range(order + 2) if i + j <= len(corpus)]
+    contexts = draw(st.lists(
+        st.one_of(
+            st.sampled_from(seen),  # seen windows, short and long
+            st.lists(st.integers(0, d - 1), max_size=order + 2).map(tuple),  # mostly unseen
+        ),
+        min_size=1, max_size=12,
+    ))
+    return (train_ngram(corpus, order, alpha, alphabet), reference_train_ngram(corpus, order, alpha, alphabet),
+            corpus, contexts)
+
+
+def _same_bits(model, ref, contexts):
+    for ctx in contexts:
+        assert model.conditional(ctx).tobytes() == ref.conditional(ctx).tobytes()
+        first = model.logits_for(ctx)
+        assert first.tobytes() == ref.logits_for(ctx).tobytes()
+        assert model.logits_for(ctx).tobytes() == first.tobytes()  # from the memo
+
+
+class TestDenseMatchesReference:
+    """The dense model against the frozen per-context model, bit for bit."""
+
+    @settings(max_examples=300)
+    @given(trained_pairs())
+    def test_json_bytes_and_context_counts_match(self, pair):
+        model, ref, _, _ = pair
+        assert _dumps(model) == _dumps(ref)
+        for m in range(0, model.order + 2):
+            assert model.context_count(m) == ref.context_count(m)
+        assert model.context_count() == ref.context_count()
+
+    @settings(max_examples=300)
+    @given(trained_pairs())
+    def test_conditional_and_logit_bits_match(self, pair):
+        model, ref, _, contexts = pair
+        _same_bits(model, ref, contexts)
+
+    @settings(max_examples=200)
+    @given(trained_pairs())
+    def test_load_of_save_round_trips(self, pair):
+        model, ref, _, contexts = pair
+        text = _dumps(model)
+        loaded = NGramModel.from_json_dict(json.loads(text))
+        assert _dumps(loaded) == text
+        _same_bits(loaded, ReferenceNGramModel.from_json_dict(json.loads(text)), contexts)
+
+    def test_benchmark_sized_corpus_matches(self):
+        text = ("the cat sat on the mat. a hat, 42 rats ran.¶ " * 400)[:15_000]
+        toks = tokenize(text)
+        model, ref = train_ngram(toks, 5, 0.1), reference_train_ngram(toks, 5, 0.1)
+        assert _dumps(model) == _dumps(ref)
+        _same_bits(model, ref, [toks[i : i + 6] for i in range(0, 3000, 7)])
+
+    def test_token_checks_keep_their_messages(self):
+        for corpus, order in [((0, 1, 40, -1), 2), ((0, -3, 2**70), 1), ((0, 2**70, -3), 1), ((1,), 2)]:
+            with pytest.raises(ValueError) as shipped:
+                train_ngram(corpus, order, 0.1)
+            with pytest.raises(ValueError) as frozen:
+                reference_train_ngram(corpus, order, 0.1)
+            assert str(shipped.value) == str(frozen.value)
+
+
+def _edit(doc, path, value):
+    """A copy of ``doc`` with the entry at ``path`` replaced; a path that ends
+    in ``("rename", old)`` moves that entry of a dict to the key ``value``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    last = path[-1]
+    if isinstance(last, tuple):
+        node[value] = node.pop(last[1])
+    else:
+        node[last] = value
+    return doc
+
+
+class TestLoaderMatchesReference:
+    """Every rejection keeps its message, and every accepted document loads
+    to the same counts, on single edits of a real model document."""
+
+    DOC = ReferenceNGramModel.to_json_dict(reference_train_ngram(tokenize("abab cab."), 3, 0.1))
+    VALUES = [None, True, False, -1, 0, 1, 7, 2.5, 4.0, "x", "1", [], [1], {}, {"0": 1}, {"0": 2.5},
+              2**63 - 1]
+    KEYS = ["", "0", "1", "01", " 1", "+1", "1_0", "-1", "40", "99", "a", "1,", ",", "0,1", "1,0", "01,1"]
+
+    @staticmethod
+    def _outcome(cls, doc):
+        try:
+            model = cls.from_json_dict(doc)
+        except ModelFormatError as exc:
+            return "error", str(exc)
+        contexts = [(), (a,), (b,), (a, b), (c, a), (BLANK, c), (b, a, b)]
+        return "model", _dumps(model), model.context_count(), [model.logits_for(x).tobytes() for x in contexts]
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_single_edits(self, data):
+        doc = self.DOC
+        level = data.draw(st.sampled_from(["1", "2", "3"]))
+        key = data.draw(st.sampled_from(sorted(doc["counts"][level])))
+        tok = data.draw(st.sampled_from(sorted(doc["counts"][level][key])))
+        kind = data.draw(st.sampled_from(["count", "token", "context", "counts of a context", "table", "field"]))
+        if kind == "count":
+            edited = _edit(doc, ["counts", level, key, tok], data.draw(st.sampled_from(self.VALUES)))
+        elif kind == "token":
+            edited = _edit(doc, ["counts", level, key, ("rename", tok)], data.draw(st.sampled_from(self.KEYS)))
+        elif kind == "context":
+            edited = _edit(doc, ["counts", level, ("rename", key)], data.draw(st.sampled_from(self.KEYS)))
+        elif kind == "counts of a context":
+            edited = _edit(doc, ["counts", level, key], data.draw(st.sampled_from(self.VALUES)))
+        elif kind == "table":
+            edited = _edit(doc, ["counts", level], data.draw(st.sampled_from(self.VALUES)))
+        else:
+            field = data.draw(st.sampled_from([["order"], ["alpha"], ["alphabet", "eos_index"], ["counts"]]))
+            edited = _edit(doc, field, data.draw(st.sampled_from(self.VALUES)))
+        assert self._outcome(NGramModel, edited) == self._outcome(ReferenceNGramModel, edited)
+
+    def test_duplicate_spellings_keep_the_last_entry(self):
+        doc = json.loads(json.dumps(self.DOC))
+        doc["counts"]["2"]["0" + str(a)] = {"0" + str(b): 5, str(b): 2, str(c): 1}
+        assert self._outcome(NGramModel, doc) == self._outcome(ReferenceNGramModel, doc)
+        assert NGramModel.from_json_dict(doc).conditional((a,))[b] == pytest.approx((2 + 0.1) / (3 + 4.0))
+
+    def test_count_beyond_int64_is_a_format_error(self):
+        # The per-context loader raised OverflowError here (a traceback, exit 1).
+        doc = _edit(self.DOC, ["counts", "1", "", str(a)], 2**63)
+        with pytest.raises(ModelFormatError, match=r"^bad count entry '0': 9223372036854775808$"):
+            NGramModel.from_json_dict(doc)
+
+
+class TestCountCellCap:
+    def test_at_the_cap_loads_and_one_more_cell_is_refused(self, monkeypatch):
+        model = train_ngram(tokenize("abab"), order=2, alpha=0.0)
+        doc = model.to_json_dict()  # 1 + 2 contexts x 40 symbols = 120 cells
+        monkeypatch.setattr(ngram, "MAX_COUNT_CELLS", 120)
+        assert _dumps(NGramModel.from_json_dict(doc)) == _dumps(model)
+        assert _dumps(train_ngram(tokenize("abab"), order=2, alpha=0.0)) == _dumps(model)
+        monkeypatch.setattr(ngram, "MAX_COUNT_CELLS", 119)
+        message = r"^the model needs 120 count cells \(contexts x alphabet size\), above the cap of 119$"
+        with pytest.raises(ModelFormatError, match=message):
+            NGramModel.from_json_dict(doc)
+        with pytest.raises(ValueError, match=message):
+            train_ngram(tokenize("abab"), order=2, alpha=0.0)
+
+    def test_a_document_one_cell_over_the_cap_is_refused_before_allocating(self):
+        assert ngram.MAX_COUNT_CELLS == 2**24
+        # 673 symbols x (1 + 24,928) contexts = 2**24 + 1 cells, in a 0.4 MB document
+        symbols = "".join(chr(0x4E00 + i) for i in range(673))
+        trigrams = {f"{i // 673},{i % 673}": {"0": 1} for i in range(24_928)}
+        doc = {"format": "decodelab-ngram", "format_version": 1, "order": 3, "alpha": 0.1,
+               "alphabet": {"symbols": symbols, "eos_index": 0},
+               "counts": {"1": {"": {"0": 1}}, "2": {}, "3": trigrams}}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match=r"needs 16777217 count cells .* above the cap of 16777216$"):
+                NGramModel.from_json_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the refused matrices alone would take 128 MiB
