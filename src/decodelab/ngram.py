@@ -265,50 +265,15 @@ class NGramModel:
 
 
 def _parse_level(m: int, level: dict, size: int, tok_of: dict[str, int]):
-    """One order's count table: its contexts in lexicographic order and their matrix."""
-    entries = _canonical_entries(m, level, tok_of) or _checked_entries(m, level, size, tok_of)
-    contexts, lens, toks, values = entries
-    by_context = sorted(range(len(contexts)), key=contexts.__getitem__)
-    rows = np.empty(len(contexts), dtype=np.int64)
-    rows[by_context] = np.arange(len(contexts))
-    matrix = np.zeros((len(contexts), size), dtype=np.int64)
-    matrix[np.repeat(rows, lens), toks] = values
-    return [contexts[i] for i in by_context], matrix
-
-
-def _canonical_entries(m: int, level: dict, tok_of: dict[str, int]):
-    """The entries of a table written as :meth:`NGramModel.to_json_dict` writes
-    them (every id spelled ``str(t)`` with ``t < D``, counts JSON integers in
-    the int64 range): (contexts, entries per context, tokens, counts) in
-    document order.  None for any other table, which
-    :func:`_checked_entries` then parses or rejects entry by entry."""
-    lookup = tok_of.__getitem__
-    contexts, lens, toks, values = [], [], [], []
-    try:
-        for key, sparse in level.items():
-            ctx = tuple(map(lookup, key.split(","))) if key else ()
-            if len(ctx) != m - 1 or type(sparse) is not dict:
-                return None
-            contexts.append(ctx)
-            lens.append(len(sparse))
-            toks += map(lookup, sparse)
-            values += sparse.values()
-    except KeyError:
-        return None
-    if not set(map(type, values)) <= {int} or (values and not 0 <= min(values) <= max(values) <= _INT64_MAX):
-        return None
-    return contexts, lens, toks, values
-
-
-def _checked_entries(m: int, level: dict, size: int, tok_of: dict[str, int]):
-    """The entries of a table checked one by one in document order, raising
-    at the first bad one.  A context or token written twice (``"1"`` and
-    ``"01"``) keeps its last entry, as assigning into per-context arrays in
-    document order did."""
+    """One order's count table: its contexts in lexicographic order and their
+    matrix.  Entries are checked one by one in document order, raising at the
+    first bad one; a context or token written twice (``"1"`` and ``"01"``)
+    keeps its last entry, as assigning into per-context arrays in document
+    order did."""
     parsed: dict[tuple[TokenId, ...], dict[TokenId, int]] = {}
     for key, sparse in level.items():
-        ctx = tuple(int(t) for t in key.split(",")) if key else ()
-        if len(ctx) != m - 1 or any(not 0 <= t < size for t in ctx):
+        ctx = tuple(map(int, key.split(","))) if key else ()
+        if len(ctx) != m - 1 or not 0 <= min(ctx, default=0) <= max(ctx, default=0) < size:
             raise ModelFormatError(f"bad context key {key!r} for order {m}")
         row = {}
         for tok_str, count in _json_object(sparse, f"counts of context {key!r}").items():
@@ -319,18 +284,16 @@ def _checked_entries(m: int, level: dict, size: int, tok_of: dict[str, int]):
                 raise ModelFormatError(f"bad count entry {tok_str!r}: {json.dumps(count)}")
             row[tok] = count
         parsed[ctx] = row
-    rows = parsed.values()
-    return list(parsed), [len(r) for r in rows], [t for r in rows for t in r], [c for r in rows for c in r.values()]
-
-
-def _corpus_array(corpus: Sequence[TokenId], order: int, size: int) -> np.ndarray:
-    tokens = list(map(int, corpus))
-    if len(tokens) < order:
-        raise ValueError(f"corpus has {len(tokens)} tokens but order-{order} training needs at least {order}")
-    if not (0 <= min(tokens) and max(tokens) < size):
-        bad = next(t for t in tokens if not 0 <= t < size)
-        raise ValueError(f"corpus token {bad} outside alphabet of size {size}")
-    return np.array(tokens, dtype=np.int64)
+    contexts = sorted(parsed)
+    rows = [parsed[ctx] for ctx in contexts]
+    for ctx, row in zip(contexts, rows):
+        # The row totals are int64: a sum past the range would wrap negative.
+        if sum(row.values()) > _INT64_MAX:
+            raise ModelFormatError(f"counts of context {','.join(map(str, ctx))!r} sum past 2^63 - 1")
+    matrix = np.zeros((len(contexts), size), dtype=np.int64)
+    row_ids = np.repeat(np.arange(len(contexts)), [len(row) for row in rows])
+    matrix[row_ids, [t for row in rows for t in row]] = [c for row in rows for c in row.values()]
+    return contexts, matrix
 
 
 def train_ngram(
@@ -358,7 +321,14 @@ def train_ngram(
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0 (got {alpha!r})")
     size = alphabet.size
-    toks = _corpus_array(corpus, order, size)
+    tokens = list(map(int, corpus))
+    if len(tokens) < order:
+        raise ValueError(f"corpus has {len(tokens)} tokens but order-{order} training needs at least {order}")
+    if not (0 <= min(tokens) and max(tokens) < size):
+        bad = next(t for t in tokens if not 0 <= t < size)
+        raise ValueError(f"corpus token {bad} outside alphabet of size {size}")
+    toks = np.array(tokens, dtype=np.int64)
+    del tokens  # corpus-sized; the count passes below need only the array
     n = toks.size
     levels: Levels = []
     contexts: list[tuple[TokenId, ...]] = [()]

@@ -479,6 +479,8 @@ class TestDenseMatchesReference:
         text = _dumps(model)
         loaded = NGramModel.from_json_dict(json.loads(text))
         assert _dumps(loaded) == text
+        for (contexts, counts), (trained_contexts, trained_counts) in zip(loaded._levels, model._levels):
+            assert contexts == trained_contexts and np.array_equal(counts, trained_counts)
         _same_bits(loaded, ReferenceNGramModel.from_json_dict(json.loads(text)), contexts)
 
     def test_benchmark_sized_corpus_matches(self):
@@ -489,7 +491,7 @@ class TestDenseMatchesReference:
         _same_bits(model, ref, [toks[i : i + 6] for i in range(0, 3000, 7)])
 
     def test_token_checks_keep_their_messages(self):
-        for corpus, order in [((0, 1, 40, -1), 2), ((0, -3, 2**70), 1), ((0, 2**70, -3), 1), ((1,), 2)]:
+        for corpus, order in [((0, 1, 40, -1), 2), ((0, 40, 1), 2), ((0, -3, 2**70), 1), ((0, 2**70, -3), 1), ((1,), 2)]:
             with pytest.raises(ValueError) as shipped:
                 train_ngram(corpus, order, 0.1)
             with pytest.raises(ValueError) as frozen:
@@ -530,6 +532,21 @@ class TestLoaderMatchesReference:
         contexts = [(), (a,), (b,), (a, b), (c, a), (BLANK, c), (b, a, b)]
         return "model", _dumps(model), model.context_count(), [model.logits_for(x).tobytes() for x in contexts]
 
+    @classmethod
+    def _frozen_outcome(cls, doc):
+        """The frozen loader's outcome, but for one intended change: a context
+        whose counts sum past 2^63 - 1 is refused, where that loader let the
+        int64 row total wrap negative."""
+        try:
+            tables = ReferenceNGramModel.from_json_dict(doc)._tables
+        except ModelFormatError:
+            tables = {}
+        for m in sorted(tables):
+            for ctx in sorted(tables[m]):
+                if sum(tables[m][ctx].tolist()) > 2**63 - 1:
+                    return "error", f"counts of context {','.join(map(str, ctx))!r} sum past 2^63 - 1"
+        return cls._outcome(ReferenceNGramModel, doc)
+
     @settings(max_examples=300)
     @given(st.data())
     def test_single_edits(self, data):
@@ -551,7 +568,7 @@ class TestLoaderMatchesReference:
         else:
             field = data.draw(st.sampled_from([["order"], ["alpha"], ["alphabet", "eos_index"], ["counts"]]))
             edited = _edit(doc, field, data.draw(st.sampled_from(self.VALUES)))
-        assert self._outcome(NGramModel, edited) == self._outcome(ReferenceNGramModel, edited)
+        assert self._outcome(NGramModel, edited) == self._frozen_outcome(edited)
 
     def test_duplicate_spellings_keep_the_last_entry(self):
         doc = json.loads(json.dumps(self.DOC))
@@ -564,6 +581,25 @@ class TestLoaderMatchesReference:
         doc = _edit(self.DOC, ["counts", "1", "", str(a)], 2**63)
         with pytest.raises(ModelFormatError, match=r"^bad count entry '0': 9223372036854775808$"):
             NGramModel.from_json_dict(doc)
+
+    def test_counts_summing_past_int64_are_a_format_error(self):
+        # Both loaders took this document, and its int64 unigram total wrapped
+        # to -2^63: conditional(()) gave masses of -0.5.
+        doc = _edit(self.DOC, ["counts", "1", ""], {str(a): 2**62, str(b): 2**62})
+        with pytest.raises(ModelFormatError, match=r"^counts of context '' sum past 2\^63 - 1$"):
+            NGramModel.from_json_dict(doc)
+        assert self._frozen_outcome(doc) == self._outcome(NGramModel, doc)
+        doc = _edit(self.DOC, ["counts", "2", str(a)], {str(a): 2**63 - 1, str(b): 1})
+        with pytest.raises(ModelFormatError, match=rf"^counts of context '{a}' sum past 2\^63 - 1$"):
+            NGramModel.from_json_dict(doc)
+        # A count written twice is summed once, as its last entry.
+        doc = _edit(self.DOC, ["counts", "2", str(a)], {str(a): 2**63 - 1, str(b): 1, "0" + str(a): 1})
+        assert NGramModel.from_json_dict(doc).conditional((a,))[a] == pytest.approx((1 + 0.1) / (2 + 4.0))
+
+    def test_counts_summing_to_int64_max_load(self):
+        doc = _edit(self.DOC, ["counts", "1", ""], {str(a): 2**62, str(b): 2**62 - 1})
+        masses = NGramModel.from_json_dict(doc).conditional(())
+        assert masses.min() > 0 and masses[a] == pytest.approx(0.5)
 
 
 class TestCountCellCap:
