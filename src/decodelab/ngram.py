@@ -19,13 +19,15 @@ Smoothing and backoff semantics:
   tolerance in the package.
 
 Storage: the counts of each order ``m`` are one dense ``(contexts, D)``
-int64 matrix whose rows are the order's length ``m-1`` contexts in
-lexicographic order, plus a map from context tuple to row.  Training counts
-every window of an order in one array pass, saving emits the sparse JSON
-from the nonzero entries of each matrix, and loading parses each level
-straight into its matrix.  The model file format is the sparse JSON it has
-always been.  ``logits_for`` memoizes its result per trailing context and
-returns read-only arrays: callers share them and must not write to them.
+int64 matrix, rows in lexicographic context order, plus a map from context
+tuple to row.  Training counts an order in one array pass; ``logits_for``
+memoizes per trailing context and returns read-only arrays that callers
+share and must not write to.
+
+Model file: sparse JSON, ``counts[str(m)][context key][token key] = count``
+for each nonzero count.  A token key is ``str(t)`` (``_token_keys``):
+decimal, no sign, padding or leading zeros; a context key joins its tokens'
+keys with ``","`` (``""`` for the empty context).  Loading refuses any other.
 
 Tokenization is per character: uppercase folds to lowercase, anything
 outside the alphabet maps to the blank token, one token per input character.
@@ -85,6 +87,11 @@ def _json_number(value, what: str) -> float:
         return float(value)
     except OverflowError:  # a JSON integer beyond the float range
         raise ModelFormatError(f"{what} is beyond the float range") from None
+
+
+def _token_keys(size: int) -> list[str]:
+    """Token ids ``0 .. size-1`` spelled as model documents spell them."""
+    return [str(t) for t in range(size)]
 
 
 def _check_cells(cells: int, error: type[ValueError]) -> None:
@@ -188,7 +195,7 @@ class NGramModel:
     # -- persistence -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        tok_keys = [str(t) for t in range(self.alphabet.size)]
+        tok_keys = _token_keys(self.alphabet.size)
         counts: dict[str, dict[str, dict[str, int]]] = {}
         for m, (contexts, matrix) in enumerate(self._levels, start=1):
             # Row-major: rows ascending, and tokens ascending within a row.
@@ -199,7 +206,7 @@ class NGramModel:
             ends = starts[1:] + [len(values)]
             level: dict[str, dict[str, int]] = {}
             for row, s, e in zip(rows[starts].tolist(), starts, ends):
-                level[",".join(map(str, contexts[row]))] = dict(zip(keys[s:e], values[s:e]))
+                level[",".join(map(tok_keys.__getitem__, contexts[row]))] = dict(zip(keys[s:e], values[s:e]))
             counts[str(m)] = level
         return {
             "format": FORMAT_NAME,
@@ -230,23 +237,18 @@ class NGramModel:
         try:
             alpha = _json_number(d["alpha"], "alpha")
             order = _json_int(d["order"], "order")
-            alphabet = TokenAlphabet(
-                tuple(d["alphabet"]["symbols"]), _json_int(d["alphabet"]["eos_index"], "eos_index")
-            )
+            alphabet = TokenAlphabet(tuple(d["alphabet"]["symbols"]),
+                                     _json_int(d["alphabet"]["eos_index"], "eos_index"))
             size = alphabet.size
             counts = _json_object(d["counts"], "counts")
-            # Check the order and the size of the matrices against the
-            # document before allocating anything per order.
+            # Check the table set and the matrix sizes before allocating
+            # anything, then walk the orders (not the document) in turn.
             if order != len(counts) or set(counts) != {str(m) for m in range(1, order + 1)}:
                 raise ModelFormatError(f"count tables must be exactly '1'..'{order}' (got {sorted(counts)})")
-            _check_cells(size * sum(len(level) for level in counts.values() if isinstance(level, dict)),
-                         ModelFormatError)
-            tok_of = {str(t): t for t in range(size)}
-            by_order = {
-                int(m_str): _parse_level(int(m_str), _json_object(level, f"count table {m_str!r}"), size, tok_of)
-                for m_str, level in counts.items()
-            }
-            levels = [by_order[m] for m in range(1, order + 1)]
+            _check_cells(size * sum(len(v) for v in counts.values() if isinstance(v, dict)), ModelFormatError)
+            tok_of = {key: t for t, key in enumerate(_token_keys(size))}
+            levels = [_parse_level(m, _json_object(counts[str(m)], f"count table '{m}'"), tok_of)
+                      for m in range(1, order + 1)]
             if not levels[0][0]:
                 raise ModelFormatError("model document lacks unigram counts")
             return cls(order, alpha, alphabet, levels)
@@ -264,36 +266,33 @@ class NGramModel:
         return cls.from_json_dict(doc)
 
 
-def _parse_level(m: int, level: dict, size: int, tok_of: dict[str, int]):
+def _parse_level(m: int, level: dict, tok_of: dict[str, TokenId]):
     """One order's count table: its contexts in lexicographic order and their
-    matrix.  Entries are checked one by one in document order, raising at the
-    first bad one; a context or token written twice (``"1"`` and ``"01"``)
-    keeps its last entry, as assigning into per-context arrays in document
-    order did."""
-    parsed: dict[tuple[TokenId, ...], dict[TokenId, int]] = {}
+    matrix.  Entries are checked in document order, raising at the first bad
+    one.  Each key part is one ``tok_of`` lookup: only the spelling ``save``
+    writes is read, so no two keys name one context or token."""
+    contexts, toks, values, lengths = [], [], [], []
     for key, sparse in level.items():
-        ctx = tuple(map(int, key.split(","))) if key else ()
-        if len(ctx) != m - 1 or not 0 <= min(ctx, default=0) <= max(ctx, default=0) < size:
+        ctx = tuple(map(tok_of.get, key.split(","))) if key else ()
+        if len(ctx) != m - 1 or None in ctx:
             raise ModelFormatError(f"bad context key {key!r} for order {m}")
-        row = {}
+        start = len(values)
         for tok_str, count in _json_object(sparse, f"counts of context {key!r}").items():
             tok = tok_of.get(tok_str)
-            if tok is None:
-                tok = int(tok_str)
-            if type(count) is not int or not 0 <= count <= _INT64_MAX or not 0 <= tok < size:
+            if tok is None or type(count) is not int or not 0 <= count <= _INT64_MAX:
                 raise ModelFormatError(f"bad count entry {tok_str!r}: {json.dumps(count)}")
-            row[tok] = count
-        parsed[ctx] = row
-    contexts = sorted(parsed)
-    rows = [parsed[ctx] for ctx in contexts]
-    for ctx, row in zip(contexts, rows):
+            toks.append(tok)
+            values.append(count)
         # The row totals are int64: a sum past the range would wrap negative.
-        if sum(row.values()) > _INT64_MAX:
-            raise ModelFormatError(f"counts of context {','.join(map(str, ctx))!r} sum past 2^63 - 1")
-    matrix = np.zeros((len(contexts), size), dtype=np.int64)
-    row_ids = np.repeat(np.arange(len(contexts)), [len(row) for row in rows])
-    matrix[row_ids, [t for row in rows for t in row]] = [c for row in rows for c in row.values()]
-    return contexts, matrix
+        if sum(values[start:]) > _INT64_MAX:
+            raise ModelFormatError(f"counts of context {key!r} sum past 2^63 - 1")
+        contexts.append(ctx)
+        lengths.append(len(values) - start)
+    ranked = sorted(range(len(contexts)), key=contexts.__getitem__)
+    matrix = np.zeros((len(contexts), len(tok_of)), dtype=np.int64)
+    # Entry rows in document order, mapped to their lexicographic rank.
+    matrix[np.repeat(np.argsort(ranked), lengths), toks] = values
+    return [contexts[i] for i in ranked], matrix
 
 
 def train_ngram(

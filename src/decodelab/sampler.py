@@ -61,6 +61,16 @@ STAGES = (STAGE_SOFTMAX, STAGE_TOP_K, STAGE_TOP_P, STAGE_MIN_P)
 _U64_MAX = 2**64 - 1
 
 
+def _check_seed(seed) -> int:
+    """``seed`` as an int: every seed, master or derived, is an integer in
+    ``0 .. 2^64 - 1``, checked here and nowhere else."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer (got {seed!r})")
+    if not 0 <= seed <= _U64_MAX:
+        raise ValueError(f"seed must fit in an unsigned 64-bit integer (got {seed})")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """The four sampling knobs plus the seed.
@@ -86,10 +96,7 @@ class SamplerConfig:
             raise ValueError(f"top_p must satisfy 0 < top_p <= 1 (got {self.top_p!r})")
         if not 0.0 <= self.min_p < 1.0:
             raise ValueError(f"min_p must satisfy 0 <= min_p < 1 (got {self.min_p!r})")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer (got {self.seed!r})")
-        if not 0 <= self.seed <= _U64_MAX:
-            raise ValueError(f"seed must fit in an unsigned 64-bit integer (got {self.seed})")
+        _check_seed(self.seed)
 
     def shorthand(self) -> str:
         """Compact ``(T, k, top_p, min_p)`` rendering, e.g. ``(0.8, 40, 0.95, 0)``."""
@@ -109,9 +116,7 @@ class RandomStream:
     __slots__ = ("seed", "_gen")
 
     def __init__(self, seed: int):
-        if not 0 <= int(seed) <= _U64_MAX:
-            raise ValueError(f"seed must fit in an unsigned 64-bit integer (got {seed})")
-        self.seed = int(seed)
+        self.seed = _check_seed(seed)
         self._gen = np.random.Generator(np.random.Philox(self.seed))
 
     def next_uniform(self) -> float:
@@ -133,7 +138,7 @@ def derive_seed(master_seed: int, ordinal: int) -> int:
     """
     if ordinal < 0:
         raise ValueError(f"ordinal must be non-negative (got {ordinal})")
-    ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(ordinal),))
+    ss = np.random.SeedSequence(_check_seed(master_seed), spawn_key=(int(ordinal),))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -165,12 +170,13 @@ class StageRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "StageRecord":
-        return cls(
-            stage=str(d["stage"]),
-            survivor_count=int(d["survivor_count"]),
-            masses=np.asarray(d["masses"], dtype=np.float64),
-            index_map=np.asarray(d["index_map"], dtype=np.int64),
-        )
+        count = d["survivor_count"]
+        masses = np.asarray(d["masses"], dtype=np.float64)
+        index_map = np.asarray(d["index_map"], dtype=np.int64)
+        if type(count) is not int or not count == masses.size == index_map.size:
+            raise ValueError(f"survivor_count must be a JSON integer equal to the number of masses ({masses.size}) "
+                             f"and of indices ({index_map.size}) (got {json.dumps(count)})")
+        return cls(stage=str(d["stage"]), survivor_count=count, masses=masses, index_map=index_map)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,12 +212,18 @@ class SampleTrace:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SampleTrace":
-        u = d["drawn_uniform"]
+        # Only what to_json_dict writes: int() or bool() would turn a
+        # drawn_token of 2.7 into 2 and an argmax_mode of "false" into True.
+        token, argmax_mode, u = d["drawn_token"], d["argmax_mode"], d["drawn_uniform"]
+        if type(token) is not int:
+            raise ValueError(f"drawn_token must be a JSON integer (got {json.dumps(token)})")
+        if type(argmax_mode) is not bool:
+            raise ValueError(f"argmax_mode must be a JSON bool (got {json.dumps(argmax_mode)})")
         return cls(
             stages=tuple(StageRecord.from_json_dict(s) for s in d["stages"]),
-            drawn_token=int(d["drawn_token"]),
+            drawn_token=token,
             drawn_uniform=None if u is None else float(u),
-            argmax_mode=bool(d["argmax_mode"]),
+            argmax_mode=argmax_mode,
         )
 
     @classmethod

@@ -158,6 +158,17 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_a_key_save_cannot_write_is_a_format_error(self, tmp_path, model_file, capsys):
+        # save spells token t as str(t) alone; int() read "0" + key as the same token
+        doc = json.loads(model_file.read_text(encoding="utf-8"))
+        unigram = doc["counts"]["1"][""]
+        key = next(iter(unigram))
+        count = unigram["0" + key] = unigram.pop(key)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["generate", str(bad), "--max-len", "5"]) == EXIT_FORMAT
+        assert capsys.readouterr().err == f"error: bad count entry '0{key}': {count}\n"
+
     def test_tiny_temperature_leaves_stderr_empty(self, tmp_path, model_file, capsys):
         # exp() of (z - max) / 1e-320 overflows to -inf on the way to mass 0
         with warnings.catch_warnings():
@@ -378,6 +389,22 @@ class TestSweep:
     def test_missing_csv_out_is_a_usage_error(self, model_file, capsys):
         assert main(["sweep", str(model_file)]) == EXIT_USAGE
         assert "csv_out" in capsys.readouterr().err
+
+
+class TestSeedContract:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", ["generate", "sweep", "simulate"])
+    def test_a_seed_outside_uint64_is_a_usage_error(self, tmp_path, model_file, capsys, command, seed):
+        out = tmp_path / "out.csv"
+        argv = {
+            "generate": ["generate", str(model_file), "--max-len", "5"],
+            "sweep": ["sweep", str(model_file), "--max-len", "5", "--csv-out", str(out)],
+            "simulate": ["simulate", "--steps", "1", "--trials", "1", "--csv-out", str(out)],
+        }[command]
+        assert main(argv + ["--seed", str(seed)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: seed must fit in an unsigned 64-bit integer (got {seed})\n"
+        assert captured.out == "" and not out.exists()
 
 
 class TestKernelByteIdentity:

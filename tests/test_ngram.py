@@ -1,6 +1,7 @@
 """Character n-gram model: tokenization, counting, smoothing, backoff, persistence."""
 
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -532,11 +533,35 @@ class TestLoaderMatchesReference:
         contexts = [(), (a,), (b,), (a, b), (c, a), (BLANK, c), (b, a, b)]
         return "model", _dumps(model), model.context_count(), [model.logits_for(x).tobytes() for x in contexts]
 
+    @staticmethod
+    def _unwritten_key(doc):
+        """The refusal of the first count-table key, in document order, that
+        ``save`` cannot have written, or None."""
+        written = {str(t) for t in range(A.size)}
+        counts = doc.get("counts")
+        for m_str, level in counts.items() if isinstance(counts, dict) else ():
+            for key, sparse in level.items() if isinstance(level, dict) else ():
+                if key and not written.issuperset(key.split(",")):
+                    return "error", f"bad context key {key!r} for order {int(m_str)}"
+                for tok_str, count in sparse.items() if isinstance(sparse, dict) else ():
+                    if tok_str not in written:
+                        return "error", f"bad count entry {tok_str!r}: {json.dumps(count)}"
+        return None
+
     @classmethod
     def _frozen_outcome(cls, doc):
-        """The frozen loader's outcome, but for one intended change: a context
-        whose counts sum past 2^63 - 1 is refused, where that loader let the
-        int64 row total wrap negative."""
+        """The frozen loader's outcome, but for two intended changes:
+
+        * a key that ``save`` cannot have written (``"01"``, ``"+1"``, ``"a"``,
+          ``"1,"``) is refused with the message naming it, where that loader
+          parsed it with ``int()``.  In a single edit such a key is the
+          document's only defect, so no other refusal comes before it;
+        * a context whose counts sum past 2^63 - 1 is refused, where that
+          loader let the int64 row total wrap negative.
+        """
+        unwritten = cls._unwritten_key(doc)
+        if unwritten is not None:
+            return unwritten
         try:
             tables = ReferenceNGramModel.from_json_dict(doc)._tables
         except ModelFormatError:
@@ -570,11 +595,17 @@ class TestLoaderMatchesReference:
             edited = _edit(doc, field, data.draw(st.sampled_from(self.VALUES)))
         assert self._outcome(NGramModel, edited) == self._frozen_outcome(edited)
 
-    def test_duplicate_spellings_keep_the_last_entry(self):
-        doc = json.loads(json.dumps(self.DOC))
-        doc["counts"]["2"]["0" + str(a)] = {"0" + str(b): 5, str(b): 2, str(c): 1}
-        assert self._outcome(NGramModel, doc) == self._outcome(ReferenceNGramModel, doc)
-        assert NGramModel.from_json_dict(doc).conditional((a,))[b] == pytest.approx((2 + 0.1) / (3 + 4.0))
+    @pytest.mark.parametrize("spelling", ["01", " 1", "+1", "1_0", "\u0661", "1,", ",1"])
+    def test_keys_save_cannot_write_are_refused(self, spelling):
+        # int() reads all but the last two as a token (the frozen loader took
+        # "01" and "\u0661" as token 1), but save spells token 1 as "1" only.
+        doc = _edit(self.DOC, ["counts", "1", "", ("rename", str(b))], spelling)
+        with pytest.raises(ModelFormatError, match=rf"^bad count entry {re.escape(repr(spelling))}: \d+$"):
+            NGramModel.from_json_dict(doc)
+        for m, context in [(2, spelling), (3, f"{a},{spelling}"), (3, f"{spelling},{a}")]:
+            doc = _edit(self.DOC, ["counts", str(m), ("rename", str(b) if m == 2 else f"{a},{b}")], context)
+            with pytest.raises(ModelFormatError, match=rf"^bad context key {re.escape(repr(context))} for order {m}$"):
+                NGramModel.from_json_dict(doc)
 
     def test_count_beyond_int64_is_a_format_error(self):
         # The per-context loader raised OverflowError here (a traceback, exit 1).
@@ -592,9 +623,6 @@ class TestLoaderMatchesReference:
         doc = _edit(self.DOC, ["counts", "2", str(a)], {str(a): 2**63 - 1, str(b): 1})
         with pytest.raises(ModelFormatError, match=rf"^counts of context '{a}' sum past 2\^63 - 1$"):
             NGramModel.from_json_dict(doc)
-        # A count written twice is summed once, as its last entry.
-        doc = _edit(self.DOC, ["counts", "2", str(a)], {str(a): 2**63 - 1, str(b): 1, "0" + str(a): 1})
-        assert NGramModel.from_json_dict(doc).conditional((a,))[a] == pytest.approx((1 + 0.1) / (2 + 4.0))
 
     def test_counts_summing_to_int64_max_load(self):
         doc = _edit(self.DOC, ["counts", "1", ""], {str(a): 2**62, str(b): 2**62 - 1})

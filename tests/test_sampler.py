@@ -1,5 +1,8 @@
 """The staged sampling pipeline and its trace/RNG contracts."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +122,31 @@ class TestDeriveSeed:
     def test_distinct_across_ordinals(self):
         seeds = {derive_seed(5, i) for i in range(100)}
         assert len(seeds) == 100
+
+
+class TestSeedContract:
+    """The config, the stream and derive_seed's master seed share one check."""
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (-1, "seed must fit in an unsigned 64-bit integer (got -1)"),
+            (2**64, "seed must fit in an unsigned 64-bit integer (got 18446744073709551616)"),
+            (True, "seed must be an integer (got True)"),
+            (1.0, "seed must be an integer (got 1.0)"),
+            ("1", "seed must be an integer (got '1')"),
+        ],
+    )
+    def test_every_seed_taker_refuses_a_bad_seed_alike(self, seed, message):
+        for take in (lambda: SamplerConfig(1.0, 1, seed=seed), lambda: RandomStream(seed), lambda: derive_seed(seed, 0)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                take()
+
+    def test_both_ends_of_the_range_are_taken(self):
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            assert SamplerConfig(1.0, 1, seed=seed).seed == seed
+            assert RandomStream(seed).seed == seed
+            assert 0 <= derive_seed(seed, 0) < 2**64
 
 
 class TestSortDescending:
@@ -369,6 +397,31 @@ class TestTraceSerialization:
         clone = SampleTrace.from_json(trace.to_json())
         assert clone.argmax_mode
         assert clone.drawn_uniform is None
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["stages"][-1].update(survivor_count=99),
+             r"^survivor_count must be a JSON integer equal to the number of masses \(3\) and of indices \(3\) "
+             r"\(got 99\)$"),
+            (lambda d: d["stages"][-1].update(survivor_count=3.0), r"\(got 3\.0\)$"),
+            (lambda d: d["stages"][-1].update(index_map=[0, 1]), r"and of indices \(2\) \(got 3\)$"),
+            (lambda d: d.update(argmax_mode="false"), r'^argmax_mode must be a JSON bool \(got "false"\)$'),
+            (lambda d: d.update(argmax_mode=0), r"^argmax_mode must be a JSON bool \(got 0\)$"),
+            (lambda d: d.update(drawn_token=2.7), r"^drawn_token must be a JSON integer \(got 2\.7\)$"),
+            (lambda d: d.update(drawn_token=True), r"^drawn_token must be a JSON integer \(got true\)$"),
+        ],
+        ids=["survivors-99", "survivors-3.0", "short-index-map", "argmax-string", "argmax-0", "token-2.7",
+             "token-true"],
+    )
+    def test_what_to_json_cannot_write_is_refused(self, edit, message):
+        # int() and bool() read these as 99 survivors of 3, token 2 and argmax mode on
+        _, trace = run_pipeline(np.array([3.0, 2.0, 1.0, -9.0]), SamplerConfig(1.0, 3), RandomStream(5))
+        doc = json.loads(trace.to_json())
+        assert doc["stages"][-1]["survivor_count"] == 3
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            SampleTrace.from_json(json.dumps(doc))
 
 
 # -- Frozen reference pipeline ------------------------------------------------
