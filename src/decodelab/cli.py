@@ -228,17 +228,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     csv_out = _require(p, "csv_out")
     model = NGramModel.load(args.model)
     prompt = tokenize(p["prompt"], model.alphabet)
-    grid = itertools.product(p["temps"], p["top_ks"], p["top_ps"], p["min_ps"])
+    grid = list(itertools.product(p["temps"], p["top_ks"], p["top_ps"], p["min_ps"]))
+    # Every row's config is built, and so checked, before the first row runs.
+    cfgs = [SamplerConfig(*values, derive_seed(p["seed"], run_id)) for run_id, values in enumerate(grid)]
     rows = []
-    for run_id, (temp, k, top_p, min_p) in enumerate(grid):
-        seed = derive_seed(p["seed"], run_id)
-        cfg = SamplerConfig(temp, k, top_p, min_p, seed)
+    for run_id, ((temp, k, top_p, min_p), cfg) in enumerate(zip(grid, cfgs)):
         result = generate(model, cfg, prompt, max_len=p["max_len"], capacity=p["context"])
         finals = [t.final for t in result.traces]
         mean_entropy = float(np.mean([entropy(f) for f in finals]))
         mean_survivors = float(np.mean([f.survivor_count for f in finals]))
         output_text = detokenize(result.output_tokens, model.alphabet)
-        rows.append([run_id, temp, k, top_p, min_p, seed, mean_entropy, mean_survivors, output_text])
+        rows.append([run_id, temp, k, top_p, min_p, cfg.seed, mean_entropy, mean_survivors, output_text])
     _write_csv(csv_out, SWEEP_CSV_HEADER, rows)
     print(f"rows={len(rows)} csv={csv_out}")
     return EXIT_OK

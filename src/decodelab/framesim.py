@@ -17,7 +17,9 @@ That makes the central phenomenon exact: under argmax decoding (top-k with
 k = 1, or zero temperature) every patch repeats, so a rollout is frozen on
 its prompt frame from the first prediction onward, for every seed and every
 valid world.  Widening the sampler (larger k) admits non-stay tokens and the
-per-frame novelty grows with k.
+per-frame novelty grows with k.  A rollout's frames sit in one array, and its
+freeze index is read from the per-step novelty, which is 0 exactly when a
+frame repeats its predecessor.
 
 Patches are sampled independently given the previous frame (there is no
 within-frame autoregression), in row-major order from one shared random
@@ -79,34 +81,30 @@ class WorldModel:
         v = self.vocab
         if not 0 <= stay < v:
             raise ValueError(f"stay token {stay} outside vocabulary of size {v}")
-        row = np.zeros(1, dtype=np.int64)
-        passes = []
-        for t in neighbors:
-            t = int(t)
-            if not 0 <= t < v:
-                raise ValueError(f"neighbor token {t} outside vocabulary of size {v}")
-            passes.append((row, np.array([t])))
-        return _conditionals(self, np.array([stay]), passes)[0]
+        tokens = np.array([int(t) for t in neighbors])  # object dtype past int64, still comparable
+        outside = (tokens < 0) | (tokens >= v)
+        if outside.any():
+            raise ValueError(f"neighbor token {tokens[outside][0]} outside vocabulary of size {v}")
+        rows = np.zeros(tokens.size, dtype=np.int64)
+        return _conditionals(self, np.array([stay]), rows, tokens.astype(np.int64))[0]
 
 
-def _conditionals(
-    world: WorldModel, stay: np.ndarray, passes: Iterable[tuple[np.ndarray, np.ndarray]]
-) -> np.ndarray:
+def _conditionals(world: WorldModel, stay: np.ndarray, rows: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     """The ``(N, V)`` conditionals of N patches whose previous tokens are ``stay``.
 
-    Each pass ``(rows, tokens)`` adds ``neighbor_gain`` to the weight of
-    ``tokens[j]`` in row ``rows[j]`` unless it is that row's stay token; a
-    row appears at most once per pass, and the passes run in order, so a
-    token that is the neighbor twice gets ``(bias + gain) + gain``.
+    Each (patch, neighbor token) pair ``(rows[j], tokens[j])`` adds
+    ``neighbor_gain`` to the weight of that token in that row.
+    ``np.add.at`` is unbuffered and applies the adds one by one, so a token
+    that is the neighbor twice gets ``(bias + gain) + gain``.  A row's
+    weight at its stay token is never read (that mass is ``stay_mass``), so
+    a neighbor equal to the stay token changes nothing.
     """
     v = world.vocab
     n = stay.size
     rest = 1.0 - world.stay_mass
     base = rest / (v - 1)
     w = np.tile(world.token_bias, (n, 1))
-    for rows, tokens in passes:
-        moved = tokens != stay[rows]
-        w[rows[moved], tokens[moved]] += world.neighbor_gain
+    np.add.at(w, (rows, tokens), world.neighbor_gain)
     others = np.ones((n, v), dtype=bool)
     others[np.arange(n), stay] = False
     dev = w[others].reshape(n, v - 1)
@@ -197,13 +195,9 @@ def predict_frame(
     h, w = world.height, world.width
     at = np.arange(h * w).reshape(h, w)
     # Each patch's neighbors in the order up, down, left, right.
-    passes = [
-        (at[1:, :], prev[:-1, :]),
-        (at[:-1, :], prev[1:, :]),
-        (at[:, 1:], prev[:, :-1]),
-        (at[:, :-1], prev[:, 1:]),
-    ]
-    cond = _conditionals(world, prev.ravel(), [(rows.ravel(), tokens.ravel()) for rows, tokens in passes])
+    rows = np.concatenate([at[1:, :], at[:-1, :], at[:, 1:], at[:, :-1]], axis=None)
+    neighbors = np.concatenate([prev[:-1, :], prev[1:, :], prev[:, :-1], prev[:, 1:]], axis=None)
+    cond = _conditionals(world, prev.ravel(), rows, neighbors)
     u = None if cfg.temperature == 0.0 else rng.next_uniforms(h * w)
     tokens, traces = sample_rows(logits_from_masses(cond), cfg, u, want_traces=want_traces)
     out = tokens.reshape(h, w)
@@ -215,16 +209,21 @@ def predict_frame(
 class Rollout:
     """An autoregressive frame trajectory plus its change statistics.
 
-    ``frames[0]`` is the prompt; ``novelty[i]`` is the fraction of patches
-    that differ between ``frames[i + 1]`` and ``frames[i]``.  ``freeze_index``
-    is the first index ``i >= 1`` such that every later frame equals
-    ``frames[i]`` (the image stopped changing there), or None if the last
-    frame still differs from its predecessor.
+    ``frames`` holds the read-only rows of one ``(steps + 1, H, W)`` array;
+    ``frames[0]`` is the prompt.  ``novelty[i]`` is the fraction of patches
+    that differ between ``frames[i + 1]`` and ``frames[i]``.
+    ``freeze_index`` is the first index ``i >= 1`` such that every later
+    frame equals ``frames[i]`` (the image stopped changing there), or None
+    if the last frame still differs from its predecessor; it is read from
+    ``novelty``, which is 0 exactly where a frame repeats its predecessor.
     """
 
     frames: tuple[FrameGrid, ...]
     novelty: np.ndarray
-    freeze_index: int | None
+
+    @property
+    def freeze_index(self) -> int | None:
+        return _freeze_index(self.novelty)
 
     @property
     def mean_novelty(self) -> float:
@@ -232,21 +231,21 @@ class Rollout:
 
     def to_json_dict(self) -> dict:
         return {
-            "frames": [[[int(t) for t in row] for row in f] for f in self.frames],
-            "novelty": [float(x) for x in self.novelty],
+            "frames": [f.tolist() for f in self.frames],
+            "novelty": self.novelty.tolist(),
             "freeze_index": self.freeze_index,
         }
 
 
-def _freeze_index(frames: Sequence[FrameGrid]) -> int | None:
-    last = len(frames) - 1
-    t = last
-    while t >= 1 and np.array_equal(frames[t], frames[t - 1]):
-        t -= 1
-    # frames[t .. last] are all identical and t is minimal.  The freeze is
-    # real only if at least one repetition actually happened (t < last);
-    # index 0 is the prompt, so the earliest reportable freeze is 1.
-    return max(t, 1) if t < last else None
+def _freeze_index(novelty: np.ndarray) -> int | None:
+    # Frames t and t - 1 are equal exactly when novelty[t - 1] == 0.  The
+    # freeze is real only if the last step repeated a frame; it starts one
+    # past the last step that changed anything, and index 0 is the prompt,
+    # so the earliest reportable freeze is 1.
+    if novelty.size == 0 or novelty[-1] != 0.0:
+        return None
+    moved = np.flatnonzero(novelty)
+    return int(moved[-1]) + 1 if moved.size else 1
 
 
 def rollout(
@@ -258,20 +257,22 @@ def rollout(
     """Iterate :func:`predict_frame` ``steps`` times, feeding each output back.
 
     Deterministic in (world, prompt, cfg, steps): the whole trajectory uses
-    one stream seeded from ``cfg.seed``.
+    one stream seeded from ``cfg.seed``.  The prompt and every predicted
+    frame are written into one ``(steps + 1, H, W)`` array.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1 (got {steps})")
     prompt_frame = _check_frame(world, prompt_frame)
     rng = RandomStream(cfg.seed)
-    frames: list[FrameGrid] = [prompt_frame]
-    novelty = np.empty(steps, dtype=np.float64)
+    frames = np.empty((steps + 1, world.height, world.width), dtype=np.int64)
+    frames[0] = prompt_frame
     for s in range(steps):
-        nxt, _ = predict_frame(world, frames[-1], cfg, rng, want_traces=False)
-        novelty[s] = float(np.mean(nxt != frames[-1]))
-        frames.append(nxt)
+        frames[s + 1], _ = predict_frame(world, frames[s], cfg, rng, want_traces=False)
+    frames.flags.writeable = False
+    # A mean of 0/1 values is an exact count over H * W: the bits of a per-step np.mean.
+    novelty = (frames[1:] != frames[:-1]).mean(axis=(1, 2))
     novelty.flags.writeable = False
-    return Rollout(frames=tuple(frames), novelty=novelty, freeze_index=_freeze_index(frames))
+    return Rollout(frames=tuple(frames), novelty=novelty)
 
 
 def k_sweep(
@@ -287,21 +288,18 @@ def k_sweep(
 
     Each rollout seed depends only on the (k, trial) pair, not on the sweep
     position, so reordering or duplicating entries in ``ks`` reproduces the
-    exact same rows and concurrent execution stays deterministic.
+    exact same rows and concurrent execution stays deterministic.  Every
+    config is built, and so checked, before the first rollout runs.
     """
     if len(ks) == 0:
         raise ValueError("k sweep needs at least one k value")
     if trials < 1:
         raise ValueError(f"trials must be >= 1 (got {trials})")
-    entries: list[tuple[int, list[Rollout]]] = []
+    grid = []
     for k in ks:
         k_seed = derive_seed(master_seed, int(k))
-        rolls = []
-        for trial in range(trials):
-            cfg = replace(base_cfg, top_k=int(k), seed=derive_seed(k_seed, trial))
-            rolls.append(rollout(world, prompt_frame, cfg, steps))
-        entries.append((int(k), rolls))
-    return entries
+        grid.append((int(k), [replace(base_cfg, top_k=int(k), seed=derive_seed(k_seed, t)) for t in range(trials)]))
+    return [(k, [rollout(world, prompt_frame, cfg, steps) for cfg in cfgs]) for k, cfgs in grid]
 
 
 def novelty_curve(entries: Sequence[tuple[int, Sequence[Rollout]]]) -> list[tuple[int, float]]:

@@ -134,12 +134,31 @@ def derive_seed(master_seed: int, ordinal: int) -> int:
 
     Implemented as ``SeedSequence(master_seed, spawn_key=(ordinal,))``, a
     fixed published hashing scheme, so sweep row ``i`` gets the same seed no
-    matter where or in which order rows execute.
+    matter where or in which order rows execute.  The ordinal is a
+    non-negative integer of any size; a bool or a float is refused, as
+    ``int()`` would give two ordinals one seed.
     """
+    if not isinstance(ordinal, (int, np.integer)) or isinstance(ordinal, bool):
+        raise ValueError(f"ordinal must be an integer (got {ordinal!r})")
     if ordinal < 0:
         raise ValueError(f"ordinal must be non-negative (got {ordinal})")
     ss = np.random.SeedSequence(_check_seed(master_seed), spawn_key=(int(ordinal),))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+#: The Python types json.loads gives a JSON number (a bool is neither).
+_JSON_NUMBER = (int, float)
+
+
+def _json_list(d: dict, key: str, types: tuple[type, ...], what: str) -> list:
+    """``d[key]`` if it is a JSON list whose entries all have one of ``types``."""
+    value = d[key]
+    if type(value) is not list:
+        raise ValueError(f"{key} must be a JSON list of {what} (got {json.dumps(value)})")
+    for i, x in enumerate(value):
+        if type(x) not in types:
+            raise ValueError(f"{key} must be a JSON list of {what} (entry {i} is {json.dumps(x)})")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,13 +189,15 @@ class StageRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "StageRecord":
-        count = d["survivor_count"]
-        masses = np.asarray(d["masses"], dtype=np.float64)
-        index_map = np.asarray(d["index_map"], dtype=np.int64)
+        stage, count = d["stage"], d["survivor_count"]
+        if stage not in STAGES:
+            raise ValueError(f"stage must be one of {', '.join(STAGES)} (got {json.dumps(stage)})")
+        masses = np.asarray(_json_list(d, "masses", _JSON_NUMBER, "numbers"), dtype=np.float64)
+        index_map = np.asarray(_json_list(d, "index_map", (int,), "integers"), dtype=np.int64)
         if type(count) is not int or not count == masses.size == index_map.size:
             raise ValueError(f"survivor_count must be a JSON integer equal to the number of masses ({masses.size}) "
                              f"and of indices ({index_map.size}) (got {json.dumps(count)})")
-        return cls(stage=str(d["stage"]), survivor_count=count, masses=masses, index_map=index_map)
+        return cls(stage=stage, survivor_count=count, masses=masses, index_map=index_map)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,6 +240,8 @@ class SampleTrace:
             raise ValueError(f"drawn_token must be a JSON integer (got {json.dumps(token)})")
         if type(argmax_mode) is not bool:
             raise ValueError(f"argmax_mode must be a JSON bool (got {json.dumps(argmax_mode)})")
+        if u is not None and type(u) not in _JSON_NUMBER:
+            raise ValueError(f"drawn_uniform must be a JSON number or null (got {json.dumps(u)})")
         return cls(
             stages=tuple(StageRecord.from_json_dict(s) for s in d["stages"]),
             drawn_token=token,

@@ -390,6 +390,17 @@ class TestSweep:
         assert main(["sweep", str(model_file)]) == EXIT_USAGE
         assert "csv_out" in capsys.readouterr().err
 
+    def test_a_bad_value_late_in_the_grid_exits_before_any_row_runs(self, tmp_path, model_file, capsys,
+                                                                     monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "generate", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", str(model_file), "--min-ps", "0", "0.05", "1.5", "--max-len", "2000", "--csv-out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: min_p must satisfy 0 <= min_p < 1 (got 1.5)\n"
+        assert calls == [] and captured.out == "" and not out.exists()
+
 
 class TestSeedContract:
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -541,6 +552,16 @@ class TestSimulate:
 
     def test_missing_csv_out_is_a_usage_error(self, capsys):
         assert main(["simulate", "--steps", "1", "--trials", "1"]) == EXIT_USAGE
+
+    def test_a_bad_k_late_in_the_grid_exits_before_any_rollout(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(framesim, "rollout", lambda *a: calls.append(a))
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--k-grid", "16", "4", "0", "--steps", "200", "--trials", "20", "--csv-out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: top_k must satisfy k >= 1 (got 0)\n"
+        assert calls == [] and captured.out == "" and not out.exists()
 
     # Each cap at its value and at one more, through the parameter check alone:
     # nothing is ever run or allocated at these sizes.

@@ -139,17 +139,43 @@ class TestPredictFrame:
 
 class TestFreezeIndex:
     def test_tail_constancy_semantics(self):
-        A = np.zeros((2, 2), dtype=np.int64)
-        B = np.ones((2, 2), dtype=np.int64)
-        C = np.full((2, 2), 2, dtype=np.int64)
-        assert _freeze_index([A]) is None
-        assert _freeze_index([A, A]) == 1
-        assert _freeze_index([A, B]) is None
-        assert _freeze_index([A, A, A]) == 1
-        assert _freeze_index([A, B, B, B]) == 1
-        assert _freeze_index([A, B, C, C]) == 2
-        assert _freeze_index([A, B, A, B]) is None
-        assert _freeze_index([A, B, B, A]) is None
+        # novelty[i] compares frames i + 1 and i; A, B and C are distinct
+        # 2x2 frames, so a change of frame moves at least one patch in four
+        assert _freeze_index(np.array([])) is None  # [A]
+        assert _freeze_index(np.array([0.0])) == 1  # [A, A]
+        assert _freeze_index(np.array([1.0])) is None  # [A, B]
+        assert _freeze_index(np.array([0.0, 0.0])) == 1  # [A, A, A]
+        assert _freeze_index(np.array([0.25, 0.0, 0.0])) == 1  # [A, B, B, B]
+        assert _freeze_index(np.array([1.0, 0.5, 0.0])) == 2  # [A, B, C, C]
+        assert _freeze_index(np.array([1.0, 1.0, 1.0])) is None  # [A, B, A, B]
+        assert _freeze_index(np.array([0.75, 0.0, 0.75])) is None  # [A, B, B, A]
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(range(4)), min_size=1, max_size=9), st.integers(1, 3), st.integers(1, 3))
+    def test_freeze_index_from_novelty_is_the_frame_scan(self, picks, h, w):
+        # frames drawn from a pool of four, two of which differ in one patch
+        # only, so repeats are common and some changes are small
+        pool = [np.zeros((h, w), dtype=np.int64) for _ in range(4)]
+        pool[1][0, 0] = 1
+        pool[2][-1, -1] += 2
+        pool[3][:] = 3
+        frames = [pool[i] for i in picks]
+        novelty = np.array([np.mean(b != a) for a, b in zip(frames, frames[1:])])
+        roll = framesim.Rollout(frames=tuple(frames), novelty=novelty)
+        assert roll.freeze_index == reference_freeze_index(frames)
+
+
+def reference_freeze_index(frames):
+    """The freeze index as it was computed before it was read from novelty:
+    a scan back over the frames themselves."""
+    last = len(frames) - 1
+    t = last
+    while t >= 1 and np.array_equal(frames[t], frames[t - 1]):
+        t -= 1
+    # frames[t .. last] are all identical and t is minimal.  The freeze is
+    # real only if at least one repetition actually happened (t < last);
+    # index 0 is the prompt, so the earliest reportable freeze is 1.
+    return max(t, 1) if t < last else None
 
 
 class TestRollout:
@@ -181,6 +207,15 @@ class TestRollout:
         roll = rollout(w, prompt, cfg, steps=50)
         assert roll.freeze_index is None
         assert roll.mean_novelty > 0.05
+
+    def test_frames_are_rows_of_one_read_only_array(self):
+        w = build_world(1, 3, 2, 0.6, seed=4)
+        prompt = random_frame(1, 3, 2, seed=5)
+        roll = rollout(w, prompt, SamplerConfig(1.0, 2, seed=6), steps=30)
+        assert len(roll.frames) == 31 and len({id(f.base) for f in roll.frames}) == 1
+        assert all(not f.flags.writeable and f.dtype == np.int64 for f in roll.frames)
+        assert roll.frames[0] is not prompt and np.array_equal(roll.frames[0], prompt)
+        assert roll.freeze_index == reference_freeze_index(roll.frames)
 
     def test_freeze_invariant_when_present(self):
         w = small_world()
@@ -426,6 +461,36 @@ class TestBatchedFrameMatchesReference:
         shipped = rollout(world, prompt, cfg, steps=8)
         monkeypatch.setattr(framesim, "predict_frame", reference_predict_frame)
         assert rollout(world, prompt, cfg, steps=8).to_json_dict() == shipped.to_json_dict()
+
+    def test_repeated_neighbor_gains_add_one_at_a_time(self):
+        # Patch 0 sees token 5 twice, patch 1 token 2 three times, patch 2
+        # token 6 four times; patch 3 sees its own stay token twice, which
+        # adds nothing.  Seed 43 gives biases where adding 0.3 n times one by
+        # one and adding n * 0.3 once differ in the last bit.
+        world = build_world(2, 2, 8, 0.6, seed=43, neighbor_gain=0.3)
+        neighbors = [[5, 3, 5], [2, 7, 2, 2], [6, 6, 6, 6], [5, 1, 5]]
+        for token, n in ((5, 2), (2, 3), (6, 4)):
+            one_by_one = world.token_bias[token]
+            for _ in range(n):
+                one_by_one += 0.3
+            assert one_by_one != world.token_bias[token] + n * 0.3
+        stay = np.array([1, 0, 4, 5])
+        rows = np.repeat(np.arange(4), [len(nb) for nb in neighbors])
+        got = framesim._conditionals(world, stay, rows, np.concatenate(neighbors))
+        for i, nb in enumerate(neighbors):
+            assert got[i].tobytes() == reference_conditional(world, int(stay[i]), nb).tobytes()
+
+    def test_conditional_refuses_tokens_outside_the_vocabulary(self):
+        world = build_world(2, 2, 4, 0.6, seed=1)
+        for stay, neighbors, message in [
+            (4, [], "stay token 4 outside vocabulary of size 4"),
+            (-1, [0], "stay token -1 outside vocabulary of size 4"),
+            (0, [1, 4, -1], "neighbor token 4 outside vocabulary of size 4"),
+            (0, [1, -1, 4], "neighbor token -1 outside vocabulary of size 4"),
+            (0, [1, 2**70], f"neighbor token {2**70} outside vocabulary of size 4"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                world.conditional(stay, neighbors)
 
     @settings(max_examples=100)
     @given(

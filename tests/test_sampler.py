@@ -123,6 +123,27 @@ class TestDeriveSeed:
         seeds = {derive_seed(5, i) for i in range(100)}
         assert len(seeds) == 100
 
+    @pytest.mark.parametrize(
+        "ordinal, message",
+        [
+            (1.5, "ordinal must be an integer (got 1.5)"),
+            (1.0, "ordinal must be an integer (got 1.0)"),
+            (True, "ordinal must be an integer (got True)"),
+            ("1", "ordinal must be an integer (got '1')"),
+            (-1, "ordinal must be non-negative (got -1)"),
+        ],
+    )
+    def test_an_ordinal_that_is_not_a_non_negative_integer_is_refused(self, ordinal, message):
+        # int() would give 1.5 and True the seed of ordinal 1
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            derive_seed(0, ordinal)
+
+    def test_large_ordinals_are_taken(self):
+        # k values in a top-k sweep are ordinals, so no upper bound applies
+        for ordinal in (2**64, 2**100, np.int64(2**62)):
+            assert 0 <= derive_seed(0, ordinal) < 2**64
+        assert derive_seed(0, np.int64(1)) == derive_seed(0, 1)
+
 
 class TestSeedContract:
     """The config, the stream and derive_seed's master seed share one check."""
@@ -410,12 +431,26 @@ class TestTraceSerialization:
             (lambda d: d.update(argmax_mode=0), r"^argmax_mode must be a JSON bool \(got 0\)$"),
             (lambda d: d.update(drawn_token=2.7), r"^drawn_token must be a JSON integer \(got 2\.7\)$"),
             (lambda d: d.update(drawn_token=True), r"^drawn_token must be a JSON integer \(got true\)$"),
+            (lambda d: d["stages"][-1].update(stage=7),
+             r"^stage must be one of after-softmax, after-top-k, after-top-p, after-min-p \(got 7\)$"),
+            (lambda d: d["stages"][0].update(stage="after-top-q"), r'^stage must be one of .* \(got "after-top-q"\)$'),
+            (lambda d: d.update(drawn_uniform="0.5"), r'^drawn_uniform must be a JSON number or null \(got "0.5"\)$'),
+            (lambda d: d.update(drawn_uniform=True), r"^drawn_uniform must be a JSON number or null \(got true\)$"),
+            (lambda d: d["stages"][-1].update(masses=[str(m) for m in d["stages"][-1]["masses"]]),
+             r'^masses must be a JSON list of numbers \(entry 0 is "0\.\d+"\)$'),
+            (lambda d: d["stages"][-1].update(masses="0.5"), r'^masses must be a JSON list of numbers \(got "0.5"\)$'),
+            (lambda d: d["stages"][-1].update(index_map=[0.9, 1.9, 2.9]),
+             r"^index_map must be a JSON list of integers \(entry 0 is 0\.9\)$"),
+            (lambda d: d["stages"][-1].update(index_map=[0, 1, False]),
+             r"^index_map must be a JSON list of integers \(entry 2 is false\)$"),
         ],
         ids=["survivors-99", "survivors-3.0", "short-index-map", "argmax-string", "argmax-0", "token-2.7",
-             "token-true"],
+             "token-true", "stage-7", "stage-unknown", "uniform-string", "uniform-true", "masses-strings",
+             "masses-string", "index-map-floats", "index-map-bool"],
     )
     def test_what_to_json_cannot_write_is_refused(self, edit, message):
-        # int() and bool() read these as 99 survivors of 3, token 2 and argmax mode on
+        # int(), float(), str() and bool() read these as 99 survivors of 3, token 2,
+        # argmax mode on, stage "7", uniform 0.5 and index map [0, 1, 2]
         _, trace = run_pipeline(np.array([3.0, 2.0, 1.0, -9.0]), SamplerConfig(1.0, 3), RandomStream(5))
         doc = json.loads(trace.to_json())
         assert doc["stages"][-1]["survivor_count"] == 3
