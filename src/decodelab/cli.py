@@ -30,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import jsonvalues
 from .autoregress import DEFAULT_CAPACITY, generate
 from .framesim import build_world, frame_to_pgm, k_sweep, novelty_curve, random_frame
 from .ngram import ModelFormatError, NGramModel, detokenize, tokenize, train_ngram
@@ -127,12 +128,6 @@ _SIZE_CAPS: dict[str, list[tuple[str, Callable[[dict], int], int]]] = {
     ],
 }
 
-# The JSON values each flag type accepts (bool is an int in Python, and is
-# rejected separately), and how an error message names them.
-_JSON_TYPES = {int: int, float: (int, float), str: str}
-_TYPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"), str: ("a string", "strings")}
-
-
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
@@ -143,26 +138,17 @@ def _shown(default) -> str:
     return f"{default:g}" if isinstance(default, float) else repr(default)
 
 
-def _typed(key: str, typ: type, value, expected: str):
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[typ]):
-        raise ValueError(f"config key '{key}' must be {expected} (got {json.dumps(value)})")
-    try:
-        return typ(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        raise ValueError(f"config key '{key}' is beyond the float range") from None
-
-
 def _config_value(key: str, typ: type, default, value):
     """A config file's ``value`` for ``key``, checked against its flag's type and converted."""
     if value is None and default is None:
         return None
-    one, many = _TYPE_NAMES[typ]
+    kind = {int: jsonvalues.INTEGER, float: jsonvalues.NUMBER, str: jsonvalues.STRING}[typ]
+    name = f"config key '{key}'"
     if not isinstance(default, list):
-        return _typed(key, typ, value, one)
-    expected = f"a non-empty list of {many}"
-    if not isinstance(value, list) or not value:
-        raise ValueError(f"config key '{key}' must be {expected} (got {json.dumps(value)})")
-    return [_typed(key, typ, v, expected) for v in value]
+        return jsonvalues.value(value, kind, name)
+    if value == []:
+        raise ValueError(f"{name} must be a non-empty list")
+    return jsonvalues.values(value, kind, name)
 
 
 def _merged_params(args: argparse.Namespace, command: str) -> dict:
@@ -173,8 +159,7 @@ def _merged_params(args: argparse.Namespace, command: str) -> dict:
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError("config file must hold a JSON object")
+        jsonvalues.value(doc, jsonvalues.OBJECT, "config file")
         unknown = sorted(set(doc) - set(params))
         if unknown:
             raise ValueError(f"config file has unknown keys for '{command}': {', '.join(unknown)}")

@@ -41,6 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .jsonvalues import INTEGER, NUMBER, OBJECT, value
 from .probcore import TokenAlphabet, TokenId, default_alphabet, logits_from_masses
 
 FORMAT_NAME = "decodelab-ngram"
@@ -65,28 +66,6 @@ Levels = list[tuple[list[tuple[TokenId, ...]], np.ndarray]]
 
 class ModelFormatError(ValueError):
     """A persisted model file does not match the expected schema or version."""
-
-
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ModelFormatError(f"{what} must be a JSON object (got {type(value).__name__})")
-    return value
-
-
-def _json_int(value, what: str) -> int:
-    # A JSON integer, not a float such as 2.5 or 4.0 and not a bool.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ModelFormatError(f"{what} must be a JSON integer (got {json.dumps(value)})")
-    return value
-
-
-def _json_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelFormatError(f"{what} must be a JSON number (got {json.dumps(value)})")
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        raise ModelFormatError(f"{what} is beyond the float range") from None
 
 
 def _token_keys(size: int) -> list[str]:
@@ -235,19 +214,19 @@ class NGramModel:
                 f"unsupported model format version {d.get('format_version')!r} (expected {FORMAT_VERSION})"
             )
         try:
-            alpha = _json_number(d["alpha"], "alpha")
-            order = _json_int(d["order"], "order")
+            alpha = value(d["alpha"], NUMBER, "alpha", ModelFormatError)
+            order = value(d["order"], INTEGER, "order", ModelFormatError)
             alphabet = TokenAlphabet(tuple(d["alphabet"]["symbols"]),
-                                     _json_int(d["alphabet"]["eos_index"], "eos_index"))
+                                     value(d["alphabet"]["eos_index"], INTEGER, "eos_index", ModelFormatError))
             size = alphabet.size
-            counts = _json_object(d["counts"], "counts")
+            counts = value(d["counts"], OBJECT, "counts", ModelFormatError)
             # Check the table set and the matrix sizes before allocating
             # anything, then walk the orders (not the document) in turn.
             if order != len(counts) or set(counts) != {str(m) for m in range(1, order + 1)}:
                 raise ModelFormatError(f"count tables must be exactly '1'..'{order}' (got {sorted(counts)})")
             _check_cells(size * sum(len(v) for v in counts.values() if isinstance(v, dict)), ModelFormatError)
             tok_of = {key: t for t, key in enumerate(_token_keys(size))}
-            levels = [_parse_level(m, _json_object(counts[str(m)], f"count table '{m}'"), tok_of)
+            levels = [_parse_level(m, value(counts[str(m)], OBJECT, f"count table '{m}'", ModelFormatError), tok_of)
                       for m in range(1, order + 1)]
             if not levels[0][0]:
                 raise ModelFormatError("model document lacks unigram counts")
@@ -277,7 +256,7 @@ def _parse_level(m: int, level: dict, tok_of: dict[str, TokenId]):
         if len(ctx) != m - 1 or None in ctx:
             raise ModelFormatError(f"bad context key {key!r} for order {m}")
         start = len(values)
-        for tok_str, count in _json_object(sparse, f"counts of context {key!r}").items():
+        for tok_str, count in value(sparse, OBJECT, f"counts of context {key!r}", ModelFormatError).items():
             tok = tok_of.get(tok_str)
             if tok is None or type(count) is not int or not 0 <= count <= _INT64_MAX:
                 raise ModelFormatError(f"bad count entry {tok_str!r}: {json.dumps(count)}")

@@ -40,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .jsonvalues import BOOL, INTEGER, NUMBER, NUMBER_OR_NULL, value, values
 from .probcore import (
     ProbabilityDistribution,
     TokenId,
@@ -61,14 +62,21 @@ STAGES = (STAGE_SOFTMAX, STAGE_TOP_K, STAGE_TOP_P, STAGE_MIN_P)
 _U64_MAX = 2**64 - 1
 
 
+def _check_int(x, name: str) -> int:
+    """``x`` as an int if it is a Python or numpy integer: not a bool, which
+    reads as 0 or 1, and not a float, which ``int()`` would truncate."""
+    if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+        raise ValueError(f"{name} must be an integer (got {x!r})")
+    return int(x)
+
+
 def _check_seed(seed) -> int:
     """``seed`` as an int: every seed, master or derived, is an integer in
     ``0 .. 2^64 - 1``, checked here and nowhere else."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer (got {seed!r})")
+    seed = _check_int(seed, "seed")
     if not 0 <= seed <= _U64_MAX:
         raise ValueError(f"seed must fit in an unsigned 64-bit integer (got {seed})")
-    return int(seed)
+    return seed
 
 
 @dataclass(frozen=True)
@@ -88,9 +96,7 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if not np.isfinite(self.temperature) or self.temperature < 0:
             raise ValueError(f"temperature must satisfy T >= 0 (got {self.temperature!r})")
-        if not isinstance(self.top_k, (int, np.integer)) or isinstance(self.top_k, bool):
-            raise ValueError(f"top_k must be an integer (got {self.top_k!r})")
-        if self.top_k < 1:
+        if _check_int(self.top_k, "top_k") < 1:
             raise ValueError(f"top_k must satisfy k >= 1 (got {self.top_k})")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError(f"top_p must satisfy 0 < top_p <= 1 (got {self.top_p!r})")
@@ -138,27 +144,11 @@ def derive_seed(master_seed: int, ordinal: int) -> int:
     non-negative integer of any size; a bool or a float is refused, as
     ``int()`` would give two ordinals one seed.
     """
-    if not isinstance(ordinal, (int, np.integer)) or isinstance(ordinal, bool):
-        raise ValueError(f"ordinal must be an integer (got {ordinal!r})")
+    ordinal = _check_int(ordinal, "ordinal")
     if ordinal < 0:
         raise ValueError(f"ordinal must be non-negative (got {ordinal})")
-    ss = np.random.SeedSequence(_check_seed(master_seed), spawn_key=(int(ordinal),))
+    ss = np.random.SeedSequence(_check_seed(master_seed), spawn_key=(ordinal,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-#: The Python types json.loads gives a JSON number (a bool is neither).
-_JSON_NUMBER = (int, float)
-
-
-def _json_list(d: dict, key: str, types: tuple[type, ...], what: str) -> list:
-    """``d[key]`` if it is a JSON list whose entries all have one of ``types``."""
-    value = d[key]
-    if type(value) is not list:
-        raise ValueError(f"{key} must be a JSON list of {what} (got {json.dumps(value)})")
-    for i, x in enumerate(value):
-        if type(x) not in types:
-            raise ValueError(f"{key} must be a JSON list of {what} (entry {i} is {json.dumps(x)})")
-    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,8 +182,8 @@ class StageRecord:
         stage, count = d["stage"], d["survivor_count"]
         if stage not in STAGES:
             raise ValueError(f"stage must be one of {', '.join(STAGES)} (got {json.dumps(stage)})")
-        masses = np.asarray(_json_list(d, "masses", _JSON_NUMBER, "numbers"), dtype=np.float64)
-        index_map = np.asarray(_json_list(d, "index_map", (int,), "integers"), dtype=np.int64)
+        masses = np.asarray(values(d["masses"], NUMBER, "masses"), dtype=np.float64)
+        index_map = np.asarray(values(d["index_map"], INTEGER, "index_map"), dtype=np.int64)
         if type(count) is not int or not count == masses.size == index_map.size:
             raise ValueError(f"survivor_count must be a JSON integer equal to the number of masses ({masses.size}) "
                              f"and of indices ({index_map.size}) (got {json.dumps(count)})")
@@ -235,18 +225,11 @@ class SampleTrace:
     def from_json_dict(cls, d: dict) -> "SampleTrace":
         # Only what to_json_dict writes: int() or bool() would turn a
         # drawn_token of 2.7 into 2 and an argmax_mode of "false" into True.
-        token, argmax_mode, u = d["drawn_token"], d["argmax_mode"], d["drawn_uniform"]
-        if type(token) is not int:
-            raise ValueError(f"drawn_token must be a JSON integer (got {json.dumps(token)})")
-        if type(argmax_mode) is not bool:
-            raise ValueError(f"argmax_mode must be a JSON bool (got {json.dumps(argmax_mode)})")
-        if u is not None and type(u) not in _JSON_NUMBER:
-            raise ValueError(f"drawn_uniform must be a JSON number or null (got {json.dumps(u)})")
         return cls(
             stages=tuple(StageRecord.from_json_dict(s) for s in d["stages"]),
-            drawn_token=token,
-            drawn_uniform=None if u is None else float(u),
-            argmax_mode=argmax_mode,
+            drawn_token=value(d["drawn_token"], INTEGER, "drawn_token"),
+            drawn_uniform=value(d["drawn_uniform"], NUMBER_OR_NULL, "drawn_uniform"),
+            argmax_mode=value(d["argmax_mode"], BOOL, "argmax_mode"),
         )
 
     @classmethod
@@ -448,8 +431,7 @@ def sample_rows(
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.size == 0:
         raise ValueError(f"logits must form a non-empty 2-D matrix (got shape {z.shape})")
-    if not np.logical_and.reduce(np.isfinite(z), axis=None):
-        raise ValueError("logits must be finite (no NaN or infinities)")
+    as_logits(z.ravel())  # every entry finite
     n, size = z.shape
     ids = token_ids(size)
     if cfg.temperature == 0.0:
