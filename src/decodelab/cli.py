@@ -9,11 +9,12 @@ Each parameter is declared once, in ``_PARAMS``, with its type, default
 and help text; its flag (``--max-len``), its config-file key (``max_len``)
 and the default shown by ``--help`` all come from that one entry.  Flags
 override values from an optional JSON config file (``--config``), which in
-turn override the defaults.  A config value must have its flag's JSON type:
-an integer for an integer flag, any number for a float flag, a string for a
-text flag and a non-empty list for a grid flag.  The only environment
-variable read is ``DECODELAB_LOG`` (debug/info/warning/error), controlling
-log verbosity.
+turn override the defaults.  A config value must have its flag's JSON kind,
+checked by ``jsonvalues`` as the model and trace readers check theirs: an
+integer for an integer flag, any number for a float flag, a string for a
+text flag and a non-empty list of those for a grid flag.  The only
+environment variable read is ``DECODELAB_LOG`` (debug/info/warning/error),
+controlling log verbosity.
 """
 
 from __future__ import annotations

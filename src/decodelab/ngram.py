@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jsonvalues import INTEGER, NUMBER, OBJECT, value
+from .jsonvalues import INTEGER, NUMBER, OBJECT, STRING, value
 from .probcore import TokenAlphabet, TokenId, default_alphabet, logits_from_masses
 
 FORMAT_NAME = "decodelab-ngram"
@@ -207,6 +207,15 @@ class NGramModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "NGramModel":
+        """The model a document as ``save`` writes it describes.
+
+        Raises :class:`ModelFormatError` for any other document: another
+        format or version; a field of the wrong JSON kind (``format_version``,
+        ``order``, ``eos_index`` and each count are integers, ``alpha`` is a
+        number, ``alphabet`` and every count table are objects, ``symbols``
+        is a string); a key ``save`` cannot write; or counts the model
+        cannot hold.
+        """
         if not isinstance(d, dict) or d.get("format") != FORMAT_NAME:
             raise ModelFormatError("not a decodelab n-gram model document")
         if d.get("format_version") != FORMAT_VERSION:
@@ -214,10 +223,12 @@ class NGramModel:
                 f"unsupported model format version {d.get('format_version')!r} (expected {FORMAT_VERSION})"
             )
         try:
+            value(d["format_version"], INTEGER, "format_version", ModelFormatError)  # true and 1.0 equal 1
             alpha = value(d["alpha"], NUMBER, "alpha", ModelFormatError)
             order = value(d["order"], INTEGER, "order", ModelFormatError)
-            alphabet = TokenAlphabet(tuple(d["alphabet"]["symbols"]),
-                                     value(d["alphabet"]["eos_index"], INTEGER, "eos_index", ModelFormatError))
+            glyphs = value(d["alphabet"], OBJECT, "alphabet", ModelFormatError)
+            alphabet = TokenAlphabet(tuple(value(glyphs["symbols"], STRING, "symbols", ModelFormatError)),
+                                     value(glyphs["eos_index"], INTEGER, "eos_index", ModelFormatError))
             size = alphabet.size
             counts = value(d["counts"], OBJECT, "counts", ModelFormatError)
             # Check the table set and the matrix sizes before allocating

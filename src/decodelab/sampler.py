@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jsonvalues import BOOL, INTEGER, NUMBER, NUMBER_OR_NULL, value, values
+from .jsonvalues import BOOL, INTEGER, NUMBER, NUMBER_OR_NULL, OBJECT, value, values
 from .probcore import (
     ProbabilityDistribution,
     TokenId,
@@ -151,6 +151,15 @@ def derive_seed(master_seed: int, ordinal: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _fields(d, keys: tuple[str, ...], what: str) -> list:
+    """The values of ``keys`` in the JSON object ``d``, which must hold them all."""
+    value(d, OBJECT, what)
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{what} has no field {key!r}")
+    return [d[key] for key in keys]
+
+
 @dataclass(frozen=True, eq=False)
 class StageRecord:
     """Survivor set snapshot after one pipeline stage (post-renormalization)."""
@@ -179,15 +188,26 @@ class StageRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "StageRecord":
-        stage, count = d["stage"], d["survivor_count"]
+        """Read a record as ``to_json_dict`` writes it.
+
+        Raises ValueError, naming the field, for a missing field, a value of
+        the wrong JSON kind, a stage name not in :data:`STAGES`, a survivor
+        count other than the number of masses and of indices, masses that
+        are negative or do not sum to 1, and repeated or negative indices.
+        """
+        keys = ("stage", "survivor_count", "masses", "index_map")
+        stage, count, masses, index_map = _fields(d, keys, "stage record")
         if stage not in STAGES:
             raise ValueError(f"stage must be one of {', '.join(STAGES)} (got {json.dumps(stage)})")
-        masses = np.asarray(values(d["masses"], NUMBER, "masses"), dtype=np.float64)
-        index_map = np.asarray(values(d["index_map"], INTEGER, "index_map"), dtype=np.int64)
-        if type(count) is not int or not count == masses.size == index_map.size:
-            raise ValueError(f"survivor_count must be a JSON integer equal to the number of masses ({masses.size}) "
-                             f"and of indices ({index_map.size}) (got {json.dumps(count)})")
-        return cls(stage=stage, survivor_count=count, masses=masses, index_map=index_map)
+        masses = values(masses, NUMBER, "masses")
+        index_map = values(index_map, INTEGER, "index_map")
+        if type(count) is not int or not count == len(masses) == len(index_map):
+            raise ValueError(f"survivor_count must be a JSON integer equal to the number of masses ({len(masses)}) "
+                             f"and of indices ({len(index_map)}) (got {json.dumps(count)})")
+        if max(index_map, default=0) >= 2**63:  # past int64
+            raise ValueError(f"index_map entries must be below 2^63 (got {max(index_map)})")
+        dist = ProbabilityDistribution(masses, index_map)  # checks the masses and the indices
+        return cls(stage=stage, survivor_count=count, masses=dist.masses, index_map=dist.index_map)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,19 +238,40 @@ class SampleTrace:
             "drawn_uniform": None if self.drawn_uniform is None else float(self.drawn_uniform),
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SampleTrace":
-        # Only what to_json_dict writes: int() or bool() would turn a
-        # drawn_token of 2.7 into 2 and an argmax_mode of "false" into True.
-        return cls(
-            stages=tuple(StageRecord.from_json_dict(s) for s in d["stages"]),
-            drawn_token=value(d["drawn_token"], INTEGER, "drawn_token"),
-            drawn_uniform=value(d["drawn_uniform"], NUMBER_OR_NULL, "drawn_uniform"),
-            argmax_mode=value(d["argmax_mode"], BOOL, "argmax_mode"),
-        )
+        """Read a trace as ``to_json_dict`` writes it, and nothing the
+        pipeline cannot write: int() or bool() would turn a drawn_token of
+        2.7 into 2 and an argmax_mode of "false" into True.
+
+        Raises ValueError, naming the field, for a missing field, a value of
+        the wrong JSON kind, any refusal of :meth:`StageRecord.from_json_dict`,
+        stages other than the softmax stage alone (argmax mode) or all four
+        in order, an index outside the softmax stage's ``0 .. D-1``, a
+        drawn token that is not a final survivor, and a drawn uniform
+        outside ``[0, 1)`` or null outside argmax mode.
+        """
+        keys = ("drawn_token", "argmax_mode", "drawn_uniform", "stages")
+        token, argmax_mode, u, stages = _fields(d, keys, "trace")
+        token = value(token, INTEGER, "drawn_token")
+        argmax_mode = value(argmax_mode, BOOL, "argmax_mode")
+        u = value(u, NUMBER_OR_NULL, "drawn_uniform")
+        stages = tuple(StageRecord.from_json_dict(s) for s in values(stages, OBJECT, "stages"))
+        names = tuple(r.stage for r in stages)
+        expected = STAGES[:1] if argmax_mode else STAGES
+        if names != expected:
+            raise ValueError(f"stages must be {', '.join(expected)} (got {', '.join(names) or 'none'})")
+        size, top = stages[0].survivor_count, max(r.index_map.max() for r in stages)
+        if top >= size:
+            raise ValueError(f"index_map entries must be below {size}, the softmax stage's size (got {top})")
+        if token not in stages[-1].index_map.tolist():
+            raise ValueError(f"drawn_token must be one of the final stage's survivors (got {token})")
+        if (u is None) != argmax_mode or not (u is None or 0.0 <= u < 1.0):
+            raise ValueError(f"drawn_uniform must be in [0, 1), or null in argmax mode alone (got {json.dumps(u)})")
+        return cls(stages=stages, drawn_token=token, drawn_uniform=u, argmax_mode=argmax_mode)
 
     @classmethod
     def from_json(cls, text: str) -> "SampleTrace":

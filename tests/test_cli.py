@@ -232,6 +232,7 @@ class TestConfigTypes:
             ("sweep", {"min_ps": [0, None]}),
             ("generate", {"max_len": None}),
             ("train", {"alpha": 10**400}),
+            ("sweep", {"temps": [0.5, 10**400]}),
         ],
     )
     def test_wrong_json_type_is_a_usage_error(self, tmp_path, corpus_file, model_file, capsys, command, config):
@@ -326,6 +327,29 @@ class TestExitCodeFuzz:
         node[key] = data.draw(FUZZ_VALUES, label="value")
         (work / "model.json").write_text(json.dumps(doc), encoding="utf-8")
         self._run(work, ["generate", "model.json", "--max-len", "4"])
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # true == 1.0 == 1, and tuple() reads a list of glyphs or an object's keys as the symbols
+            (lambda doc: doc.update(format_version=True), "format_version must be a JSON integer (got true)"),
+            (lambda doc: doc.update(format_version=1.0), "format_version must be a JSON integer (got 1.0)"),
+            (lambda doc: doc.update(alphabet=[doc["alphabet"]]), "alphabet must be a JSON object (got list)"),
+            (lambda doc: doc["alphabet"].update(symbols=list(doc["alphabet"]["symbols"])),
+             'symbols must be a JSON string (got ["a", "b", '),
+            (lambda doc: doc["alphabet"].update(symbols=dict.fromkeys(doc["alphabet"]["symbols"], 1)),
+             'symbols must be a JSON string (got {"a": 1, '),
+        ],
+        ids=["version-true", "version-1.0", "alphabet-list", "symbols-list", "symbols-object"],
+    )
+    def test_model_fields_save_cannot_write(self, tmp_path, model_file, capsys, edit, message):
+        doc = json.loads(model_file.read_text(encoding="utf-8"))
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["generate", str(bad), "--max-len", "4"]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1 and "Traceback" not in err
 
     @settings(max_examples=300)
     @given(command=st.sampled_from(sorted(FUZZ_CONFIGS)), data=st.data())

@@ -443,14 +443,37 @@ class TestTraceSerialization:
              r"^index_map must be a JSON list of integers \(entry 0 is 0\.9\)$"),
             (lambda d: d["stages"][-1].update(index_map=[0, 1, False]),
              r"^index_map must be a JSON list of integers \(entry 2 is false\)$"),
+            (lambda d: d.pop("stages"), r"^trace has no field 'stages'$"),
+            (lambda d: d["stages"][1].pop("masses"), r"^stage record has no field 'masses'$"),
+            (lambda d: d["stages"][-1].update(index_map=[0, 1, 2**70]),
+             r"^index_map entries must be below 2\^63 \(got 1180591620717411303424\)$"),
+            (lambda d: d["stages"][-1].update(index_map=[0, 1, 4]),
+             r"^index_map entries must be below 4, the softmax stage's size \(got 4\)$"),
+            (lambda d: d["stages"][-1].update(index_map=[0, 1, 1]), r"^index_map entries must be distinct"),
+            (lambda d: d["stages"][-1].update(index_map=[0, 1, -1]), r"^index_map entries must be distinct non-neg"),
+            (lambda d: d["stages"][-1].update(masses=[-1.0, 1.0, 1.0]), r"^masses must be non-negative$"),
+            (lambda d: d["stages"][-1].update(masses=[0.5, 0.5, 0.5]), r"^masses must sum to 1"),
+            (lambda d: d["stages"][-1].update(masses=[1, 0, 10**400]), r"^masses is beyond the float range$"),
+            (lambda d: d.update(drawn_token=99), r"^drawn_token must be one of the final stage's survivors \(got 99\)"),
+            (lambda d: d.update(drawn_token=3), r"^drawn_token must be one of the final stage's survivors \(got 3\)$"),
+            (lambda d: d.update(drawn_uniform=7.5),
+             r"^drawn_uniform must be in \[0, 1\), or null in argmax mode alone \(got 7\.5\)$"),
+            (lambda d: d.update(drawn_uniform=None), r"^drawn_uniform must be in \[0, 1\).* \(got null\)$"),
+            (lambda d: d.update(argmax_mode=True), r"^stages must be after-softmax \(got after-softmax, after-top-k, "),
+            (lambda d: d.update(stages=d["stages"][::-1]), r"^stages must be after-softmax, after-top-k, after-top-p"),
+            (lambda d: d.update(stages=[]), r"^stages must be .* \(got none\)$"),
         ],
         ids=["survivors-99", "survivors-3.0", "short-index-map", "argmax-string", "argmax-0", "token-2.7",
              "token-true", "stage-7", "stage-unknown", "uniform-string", "uniform-true", "masses-strings",
-             "masses-string", "index-map-floats", "index-map-bool"],
+             "masses-string", "index-map-floats", "index-map-bool", "no-stages", "no-masses", "index-2^70",
+             "index-past-softmax", "index-repeated", "index-negative", "masses-negative", "masses-sum-1.5",
+             "masses-past-float", "token-99", "token-not-final", "uniform-7.5", "uniform-null", "argmax-true",
+             "stages-reversed", "stages-empty"],
     )
     def test_what_to_json_cannot_write_is_refused(self, edit, message):
         # int(), float(), str() and bool() read these as 99 survivors of 3, token 2,
-        # argmax mode on, stage "7", uniform 0.5 and index map [0, 1, 2]
+        # argmax mode on, stage "7", uniform 0.5 and index map [0, 1, 2]; the
+        # later cases are well-typed, but no pipeline run writes them
         _, trace = run_pipeline(np.array([3.0, 2.0, 1.0, -9.0]), SamplerConfig(1.0, 3), RandomStream(5))
         doc = json.loads(trace.to_json())
         assert doc["stages"][-1]["survivor_count"] == 3
@@ -667,3 +690,17 @@ class TestSampleRowsMatchesPipeline:
             sample_rows(np.zeros((2, 3)), cfg, None)
         with pytest.raises(ValueError):
             sample_rows(np.zeros((2, 3)), cfg, np.zeros(3))
+
+
+class TestTraceReaderTakesWhatThePipelineWrites:
+    """The trace reader refuses much that is well-typed; none of it may be a real trace."""
+
+    @settings(max_examples=300)
+    @given(differential_matrices, differential_configs, st.data())
+    def test_every_trace_of_both_kernels_reads_back(self, z, cfg, data):
+        uniforms = data.draw(st.lists(_uniform, min_size=len(z), max_size=len(z)), label="uniforms")
+        with np.errstate(over="ignore"):
+            _, traces = sample_rows(z, cfg, None if cfg.temperature == 0.0 else np.array(uniforms))
+            _, trace = run_pipeline(z[0], cfg, RandomStream(cfg.seed))
+        for t in (*traces, trace):
+            assert SampleTrace.from_json(t.to_json()).to_json() == t.to_json()
