@@ -134,7 +134,7 @@ class ProbabilityDistribution:
         if np.any(masses < 0):
             raise ValueError("masses must be non-negative")
         total = float(masses.sum())
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:  # a NaN mass makes a NaN total, and fails too
             raise ValueError(f"masses must sum to 1 within {MASS_TOL} (got {total!r})")
         if np.any(index_map < 0) or np.unique(index_map).size != index_map.size:
             raise ValueError("index_map entries must be distinct non-negative token indices")

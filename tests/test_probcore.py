@@ -90,6 +90,10 @@ class TestProbabilityDistribution:
         with pytest.raises(ValueError):
             ProbabilityDistribution(np.array([0.5, 0.4]), np.array([0, 1]))
 
+    def test_rejects_nan_mass(self):
+        with pytest.raises(ValueError, match=r"^masses must sum to 1 within 1e-09 \(got nan\)$"):
+            ProbabilityDistribution(np.array([np.nan, 0.5]), np.array([0, 1]))
+
     def test_rejects_duplicate_index_map(self):
         with pytest.raises(ValueError):
             ProbabilityDistribution(np.array([0.5, 0.5]), np.array([1, 1]))

@@ -454,6 +454,7 @@ class TestTraceSerialization:
             (lambda d: d["stages"][-1].update(masses=[-1.0, 1.0, 1.0]), r"^masses must be non-negative$"),
             (lambda d: d["stages"][-1].update(masses=[0.5, 0.5, 0.5]), r"^masses must sum to 1"),
             (lambda d: d["stages"][-1].update(masses=[1, 0, 10**400]), r"^masses is beyond the float range$"),
+            (lambda d: d["stages"][-1].update(masses=[float("nan"), 0.5, 0.5]), r"^masses must sum to 1 .*nan\)$"),
             (lambda d: d.update(drawn_token=99), r"^drawn_token must be one of the final stage's survivors \(got 99\)"),
             (lambda d: d.update(drawn_token=3), r"^drawn_token must be one of the final stage's survivors \(got 3\)$"),
             (lambda d: d.update(drawn_uniform=7.5),
@@ -467,8 +468,8 @@ class TestTraceSerialization:
              "token-true", "stage-7", "stage-unknown", "uniform-string", "uniform-true", "masses-strings",
              "masses-string", "index-map-floats", "index-map-bool", "no-stages", "no-masses", "index-2^70",
              "index-past-softmax", "index-repeated", "index-negative", "masses-negative", "masses-sum-1.5",
-             "masses-past-float", "token-99", "token-not-final", "uniform-7.5", "uniform-null", "argmax-true",
-             "stages-reversed", "stages-empty"],
+             "masses-past-float", "masses-nan", "token-99", "token-not-final", "uniform-7.5", "uniform-null",
+             "argmax-true", "stages-reversed", "stages-empty"],
     )
     def test_what_to_json_cannot_write_is_refused(self, edit, message):
         # int(), float(), str() and bool() read these as 99 survivors of 3, token 2,
