@@ -20,12 +20,14 @@ controlling log verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 from typing import Callable
 
@@ -184,12 +186,22 @@ def _require(params: dict, key: str) -> object:
     return value
 
 
+@contextlib.contextmanager
+def _phase(name: str):
+    """Log, at debug level, the seconds that the block named ``name`` took."""
+    start = time.perf_counter()
+    yield
+    log.debug("%s took %.6f s", name, time.perf_counter() - start)
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     p = _merged_params(args, "train")
-    text = Path(args.corpus).read_text(encoding="utf-8")
-    corpus = tokenize(text)
-    model = train_ngram(corpus, order=p["order"], alpha=p["alpha"])
-    model.save(args.model_out)
+    with _phase("train: read"):
+        corpus = tokenize(Path(args.corpus).read_text(encoding="utf-8"))
+    with _phase("train: train"):
+        model = train_ngram(corpus, order=p["order"], alpha=p["alpha"])
+    with _phase("train: write"):
+        model.save(args.model_out)
     log.info("trained order-%d model from %s", model.order, args.corpus)
     print(f"tokens={len(corpus)} contexts={model.context_count()}")
     return EXIT_OK
@@ -197,15 +209,18 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     p = _merged_params(args, "generate")
-    model = NGramModel.load(args.model)
+    with _phase("generate: load"):
+        model = NGramModel.load(args.model)
     cfg = SamplerConfig(p["temp"], p["top_k"], p["top_p"], p["min_p"], p["seed"])
-    prompt = tokenize(p["prompt"], model.alphabet)
-    result = generate(model, cfg, prompt, max_len=p["max_len"], capacity=p["context"])
-    print(detokenize(result.output_tokens, model.alphabet))
-    if p["trace_out"] is not None:
-        doc = {"format": "decodelab-generation", "format_version": 1}
-        doc.update(result.to_json_dict(model.alphabet, include_traces=True))
-        Path(p["trace_out"]).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with _phase("generate: sample"):
+        prompt = tokenize(p["prompt"], model.alphabet)
+        result = generate(model, cfg, prompt, max_len=p["max_len"], capacity=p["context"])
+    with _phase("generate: write"):
+        print(detokenize(result.output_tokens, model.alphabet))
+        if p["trace_out"] is not None:
+            doc = {"format": "decodelab-generation", "format_version": 1}
+            doc.update(result.to_json_dict(model.alphabet, include_traces=True))
+            Path(p["trace_out"]).write_text(jsonvalues.dumps(doc) + "\n", encoding="utf-8")
     return EXIT_OK
 
 

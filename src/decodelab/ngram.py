@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jsonvalues import INTEGER, NUMBER, OBJECT, STRING, value
+from .jsonvalues import INTEGER, NUMBER, OBJECT, STRING, dumps, value
 from .probcore import TokenAlphabet, TokenId, default_alphabet, logits_from_masses
 
 FORMAT_NAME = "decodelab-ngram"
@@ -200,10 +200,7 @@ class NGramModel:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        Path(path).write_text(dumps(self.to_json_dict()) + "\n", encoding="utf-8")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "NGramModel":

@@ -467,7 +467,8 @@ def sample_rows(
     sum per row gives the same partial sums as the sequential draw.
 
     Returns the ``(N,)`` int64 tokens and, unless ``want_traces=False``, one
-    trace per row.
+    trace per row.  Raises ValueError, naming the first such row, for a
+    uniform outside ``[0, 1)`` (NaN included), which no stream yields.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.size == 0:
@@ -487,6 +488,10 @@ def sample_rows(
     if u is None or np.shape(u) != (n,):
         raise ValueError(f"sampling {n} rows needs {n} uniforms")
     u = np.asarray(u, dtype=np.float64)
+    outside = ~((u >= 0.0) & (u < 1.0))  # NaN included
+    if outside.any():
+        i = int(outside.argmax())
+        raise ValueError(f"the uniform of row {i} must be in [0, 1) (got {float(u[i])!r})")
 
     p = softmax_masses(z, cfg.temperature)
     # A stable sort of -p orders ties by ascending token index, as in run_pipeline.

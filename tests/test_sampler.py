@@ -692,6 +692,22 @@ class TestSampleRowsMatchesPipeline:
         with pytest.raises(ValueError):
             sample_rows(np.zeros((2, 3)), cfg, np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [1.0, 1.5, -0.5, -5e-324, np.nan, np.inf, -np.inf])
+    def test_refuses_a_uniform_outside_the_unit_interval(self, bad):
+        # 1.5 used to reach token 2 through the draw clamp, -0.5 token 0
+        z = np.array([[1.0, 2.0, 3.0]] * 3)
+        with pytest.raises(ValueError, match=rf"^the uniform of row 1 must be in \[0, 1\) \(got {bad!r}\)$"):
+            sample_rows(z, SamplerConfig(1.0, 3), np.array([0.5, bad, bad]))
+
+    def test_takes_the_stream_uniforms_and_both_ends(self):
+        z = np.array([[1.0, 2.0, 3.0]] * 40)
+        cfg = SamplerConfig(1.0, 3)
+        uniforms = np.concatenate([[0.0, BELOW_ONE], RandomStream(11).next_uniforms(38)])
+        tokens, traces = sample_rows(z, cfg, uniforms)
+        stream = ScriptedStream(uniforms.tolist())
+        assert tokens.tolist() == [run_pipeline(row, cfg, stream)[0] for row in z]
+        assert [t.drawn_uniform for t in traces] == uniforms.tolist()
+
 
 class TestTraceReaderTakesWhatThePipelineWrites:
     """The trace reader refuses much that is well-typed; none of it may be a real trace."""
