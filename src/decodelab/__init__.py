@@ -47,7 +47,6 @@ from .probcore import (
     cross_entropy,
     default_alphabet,
     entropy,
-    full_distribution,
     logits_from_masses,
     renormalize,
     softmax,
@@ -108,7 +107,6 @@ __all__ = [
     "draw",
     "entropy",
     "frame_to_pgm",
-    "full_distribution",
     "generate",
     "k_sweep",
     "logits_from_masses",

@@ -227,21 +227,24 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     p = _merged_params(args, "sweep")
     csv_out = _require(p, "csv_out")
-    model = NGramModel.load(args.model)
-    prompt = tokenize(p["prompt"], model.alphabet)
-    grid = list(itertools.product(p["temps"], p["top_ks"], p["top_ps"], p["min_ps"]))
-    # Every row's config is built, and so checked, before the first row runs.
-    cfgs = [SamplerConfig(*values, derive_seed(p["seed"], run_id)) for run_id, values in enumerate(grid)]
-    rows = []
-    for run_id, ((temp, k, top_p, min_p), cfg) in enumerate(zip(grid, cfgs)):
-        result = generate(model, cfg, prompt, max_len=p["max_len"], capacity=p["context"])
-        finals = [t.final for t in result.traces]
-        mean_entropy = float(np.mean([entropy(f) for f in finals]))
-        mean_survivors = float(np.mean([f.survivor_count for f in finals]))
-        output_text = detokenize(result.output_tokens, model.alphabet)
-        rows.append([run_id, temp, k, top_p, min_p, cfg.seed, mean_entropy, mean_survivors, output_text])
-    _write_csv(csv_out, SWEEP_CSV_HEADER, rows)
-    print(f"rows={len(rows)} csv={csv_out}")
+    with _phase("sweep: load"):
+        model = NGramModel.load(args.model)
+    with _phase("sweep: sample"):
+        prompt = tokenize(p["prompt"], model.alphabet)
+        grid = list(itertools.product(p["temps"], p["top_ks"], p["top_ps"], p["min_ps"]))
+        # Every row's config is built, and so checked, before the first row runs.
+        cfgs = [SamplerConfig(*values, derive_seed(p["seed"], run_id)) for run_id, values in enumerate(grid)]
+        rows = []
+        for run_id, ((temp, k, top_p, min_p), cfg) in enumerate(zip(grid, cfgs)):
+            result = generate(model, cfg, prompt, max_len=p["max_len"], capacity=p["context"])
+            finals = [t.final for t in result.traces]
+            mean_entropy = float(np.mean([entropy(f) for f in finals]))
+            mean_survivors = float(np.mean([f.survivor_count for f in finals]))
+            output_text = detokenize(result.output_tokens, model.alphabet)
+            rows.append([run_id, temp, k, top_p, min_p, cfg.seed, mean_entropy, mean_survivors, output_text])
+    with _phase("sweep: write"):
+        _write_csv(csv_out, SWEEP_CSV_HEADER, rows)
+        print(f"rows={len(rows)} csv={csv_out}")
     return EXIT_OK
 
 
@@ -250,30 +253,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     csv_out = _require(p, "csv_out")
     height, width, vocab, master_seed = p["height"], p["width"], p["vocab"], p["seed"]
 
-    world = build_world(height, width, vocab, p["stay_mass"], seed=derive_seed(master_seed, 0))
-    prompt = random_frame(height, width, vocab, seed=derive_seed(master_seed, 1))
-    entries = k_sweep(
-        world, prompt, SamplerConfig(1.0, 1), p["k_grid"], steps=p["steps"], trials=p["trials"],
-        master_seed=derive_seed(master_seed, 2),
-    )
+    with _phase("simulate: sample"):
+        world = build_world(height, width, vocab, p["stay_mass"], seed=derive_seed(master_seed, 0))
+        prompt = random_frame(height, width, vocab, seed=derive_seed(master_seed, 1))
+        entries = k_sweep(
+            world, prompt, SamplerConfig(1.0, 1), p["k_grid"], steps=p["steps"], trials=p["trials"],
+            master_seed=derive_seed(master_seed, 2),
+        )
 
-    rows = []
-    for k, rolls in entries:
-        for trial, roll in enumerate(rolls):
-            freeze = -1 if roll.freeze_index is None else roll.freeze_index
-            rows.append([k, trial, freeze, roll.mean_novelty])
-    _write_csv(csv_out, SIM_CSV_HEADER, rows)
-
-    if p["frames_out"] is not None:
-        out_dir = Path(p["frames_out"])
-        out_dir.mkdir(parents=True, exist_ok=True)
+    with _phase("simulate: write"):
+        rows = []
         for k, rolls in entries:
-            for idx, frame in enumerate(rolls[0].frames):
-                (out_dir / f"k{k}_t0_f{idx:03d}.pgm").write_bytes(frame_to_pgm(frame, vocab))
+            for trial, roll in enumerate(rolls):
+                freeze = -1 if roll.freeze_index is None else roll.freeze_index
+                rows.append([k, trial, freeze, roll.mean_novelty])
+        _write_csv(csv_out, SIM_CSV_HEADER, rows)
 
-    for k, mean in novelty_curve(entries):
-        print(f"k={k} mean_novelty={mean!r}")
-    print(f"rows={len(rows)} csv={csv_out}")
+        if p["frames_out"] is not None:
+            out_dir = Path(p["frames_out"])
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for k, rolls in entries:
+                for idx, frame in enumerate(rolls[0].frames):
+                    (out_dir / f"k{k}_t0_f{idx:03d}.pgm").write_bytes(frame_to_pgm(frame, vocab))
+
+        for k, mean in novelty_curve(entries):
+            print(f"k={k} mean_novelty={mean!r}")
+        print(f"rows={len(rows)} csv={csv_out}")
     return EXIT_OK
 
 

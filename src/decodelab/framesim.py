@@ -42,6 +42,8 @@ from .sampler import (
     RandomStream,
     SampleTrace,
     SamplerConfig,
+    _check_int,
+    _check_seed,
     derive_seed,
     run_pipeline,  # noqa: F401  (re-exported: perfbench's tracer wraps framesim.run_pipeline)
     sample_rows,
@@ -142,7 +144,8 @@ def build_world(
         )
     if neighbor_gain < 0:
         raise ValueError(f"neighbor_gain must be >= 0 (got {neighbor_gain!r})")
-    gen = np.random.Generator(np.random.Philox(int(seed)))
+    seed = _check_seed(seed)
+    gen = np.random.Generator(np.random.Philox(seed))
     bias = gen.uniform(-1.0, 1.0, size=vocab)
     bias.flags.writeable = False
     return WorldModel(
@@ -151,14 +154,14 @@ def build_world(
         vocab=int(vocab),
         stay_mass=float(stay_mass),
         neighbor_gain=float(neighbor_gain),
-        seed=int(seed),
+        seed=seed,
         token_bias=bias,
     )
 
 
 def random_frame(height: int, width: int, vocab: int, seed: int) -> FrameGrid:
     """A uniformly random prompt frame, deterministic in ``seed``."""
-    gen = np.random.Generator(np.random.Philox(int(seed)))
+    gen = np.random.Generator(np.random.Philox(_check_seed(seed)))
     return gen.integers(0, vocab, size=(height, width), dtype=np.int64)
 
 
@@ -260,7 +263,7 @@ def rollout(
     one stream seeded from ``cfg.seed``.  The prompt and every predicted
     frame are written into one ``(steps + 1, H, W)`` array.
     """
-    if steps < 1:
+    if _check_int(steps, "steps") < 1:
         raise ValueError(f"steps must be >= 1 (got {steps})")
     prompt_frame = _check_frame(world, prompt_frame)
     rng = RandomStream(cfg.seed)
@@ -293,12 +296,13 @@ def k_sweep(
     """
     if len(ks) == 0:
         raise ValueError("k sweep needs at least one k value")
-    if trials < 1:
+    if _check_int(trials, "trials") < 1:
         raise ValueError(f"trials must be >= 1 (got {trials})")
     grid = []
     for k in ks:
-        k_seed = derive_seed(master_seed, int(k))
-        grid.append((int(k), [replace(base_cfg, top_k=int(k), seed=derive_seed(k_seed, t)) for t in range(trials)]))
+        k = _check_int(k, "k")
+        k_seed = derive_seed(master_seed, k)
+        grid.append((k, [replace(base_cfg, top_k=k, seed=derive_seed(k_seed, t)) for t in range(trials)]))
     return [(k, [rollout(world, prompt_frame, cfg, steps) for cfg in cfgs]) for k, cfgs in grid]
 
 

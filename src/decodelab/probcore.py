@@ -111,12 +111,12 @@ def token_ids(size: int) -> np.ndarray:
 class ProbabilityDistribution:
     """Non-negative masses summing to one over a survivor set of tokens.
 
-    ``index_map[i]`` is the original token index of ``masses[i]``; a full
-    (untruncated) distribution has ``index_map == [0, 1, ..., D-1]``.
+    ``index_map[i]`` is the original token index of ``masses[i]``; the
+    default, None, gives a full distribution's ``[0, 1, ..., D-1]``.
     """
 
     masses: np.ndarray
-    index_map: np.ndarray
+    index_map: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         # Copies, so freezing them never freezes the caller's own arrays.
@@ -170,11 +170,6 @@ def by_token_index(masses: np.ndarray, index_map: np.ndarray) -> tuple[np.ndarra
     return masses[order], index_map[order]
 
 
-def full_distribution(masses: Sequence[float] | np.ndarray) -> ProbabilityDistribution:
-    """A distribution over the whole alphabet, token i at position i."""
-    return ProbabilityDistribution(masses, None)
-
-
 def softmax(z: Sequence[float] | np.ndarray, temperature: float) -> ProbabilityDistribution:
     """Temperature softmax: ``P_i = exp(z_i / T) / sum_j exp(z_j / T)``.
 
@@ -211,16 +206,12 @@ def argmax_onehot(dist: ProbabilityDistribution) -> TokenId:
     masses = dist.masses
     if masses.size == 0:
         raise ValueError("cannot take the argmax of an empty distribution")
-    best = np.flatnonzero(masses == masses.max())
-    return int(dist.index_map[best].min())
+    # The ufunc reduces skip the Python wrappers of ndarray.max and .min.
+    return int(np.minimum.reduce(dist.index_map[masses == np.maximum.reduce(masses)]))
 
 
 def entropy(dist: ProbabilityDistribution) -> float:
-    """Shannon entropy ``H = -sum_i P_i ln P_i`` in nats, with 0 ln 0 = 0.
-
-    Only ``dist.masses`` is read, so a sampler ``StageRecord`` can be passed
-    as is.
-    """
+    """Shannon entropy ``H = -sum_i P_i ln P_i`` in nats, with 0 ln 0 = 0."""
     p = dist.masses
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * np.log(p), 0.0)

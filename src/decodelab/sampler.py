@@ -35,7 +35,8 @@ platform and in every run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +45,7 @@ from .jsonvalues import BOOL, INTEGER, NUMBER, NUMBER_OR_NULL, OBJECT, value, va
 from .probcore import (
     ProbabilityDistribution,
     TokenId,
+    argmax_onehot,
     as_logits,
     by_token_index,
     softmax,  # noqa: F401  (re-exported: perfbench's tracer wraps sampler.softmax)
@@ -161,13 +163,14 @@ def _fields(d, keys: tuple[str, ...], what: str) -> list:
 
 
 @dataclass(frozen=True, eq=False)
-class StageRecord:
+class StageRecord(ProbabilityDistribution):
     """Survivor set snapshot after one pipeline stage (post-renormalization)."""
 
-    stage: str
-    survivor_count: int
-    masses: np.ndarray
-    index_map: np.ndarray
+    stage: str = field(kw_only=True)
+
+    @property
+    def survivor_count(self) -> int:
+        return self.masses.size
 
     def distribution(self) -> ProbabilityDistribution:
         """The recorded survivor set as a validated distribution.
@@ -206,8 +209,7 @@ class StageRecord:
                              f"and of indices ({len(index_map)}) (got {json.dumps(count)})")
         if max(index_map, default=0) >= 2**63:  # past int64
             raise ValueError(f"index_map entries must be below 2^63 (got {max(index_map)})")
-        dist = ProbabilityDistribution(masses, index_map)  # checks the masses and the indices
-        return cls(stage=stage, survivor_count=count, masses=dist.masses, index_map=dist.index_map)
+        return cls(masses, index_map, stage=stage)  # checks the masses and the indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,20 +217,29 @@ class SampleTrace:
     """Per-stage instrumentation of one pipeline run.
 
     ``stages`` holds one record per executed stage in pipeline order;
-    ``drawn_uniform`` is the unit-interval value consumed by the draw
-    (None in argmax mode, which draws nothing).  The JSON rendering of this
-    object is the golden-vector format used by conformance tests.
+    ``drawn_uniform`` is the unit-interval value consumed by the draw (None
+    in argmax mode, which draws nothing); the rest is derived from them.  The
+    JSON rendering is the golden-vector format used by conformance tests.
     """
 
     stages: tuple[StageRecord, ...]
-    drawn_token: TokenId
     drawn_uniform: float | None
-    argmax_mode: bool = False
 
     @property
     def final(self) -> StageRecord:
         """The last executed stage (the distribution actually sampled)."""
         return self.stages[-1]
+
+    @property
+    def argmax_mode(self) -> bool:
+        return self.drawn_uniform is None
+
+    @cached_property
+    def drawn_token(self) -> TokenId:
+        """The softmax stage's argmax in argmax mode, else the final stage's draw at ``drawn_uniform``."""
+        if self.argmax_mode:
+            return argmax_onehot(self.stages[0])
+        return _inverse_cdf(self.final.masses, self.final.index_map, self.drawn_uniform)
 
     def to_json_dict(self) -> dict:
         return {
@@ -251,8 +262,9 @@ class SampleTrace:
         the wrong JSON kind, any refusal of :meth:`StageRecord.from_json_dict`,
         stages other than the softmax stage alone (argmax mode) or all four
         in order, an index outside the softmax stage's ``0 .. D-1``, a
-        drawn token that is not a final survivor, and a drawn uniform
-        outside ``[0, 1)`` or null outside argmax mode.
+        drawn token that is not a final survivor, a drawn uniform outside
+        ``[0, 1)`` or null outside argmax mode, and a drawn token other than
+        the one the stages and the uniform select.
         """
         keys = ("drawn_token", "argmax_mode", "drawn_uniform", "stages")
         token, argmax_mode, u, stages = _fields(d, keys, "trace")
@@ -271,7 +283,11 @@ class SampleTrace:
             raise ValueError(f"drawn_token must be one of the final stage's survivors (got {token})")
         if (u is None) != argmax_mode or not (u is None or 0.0 <= u < 1.0):
             raise ValueError(f"drawn_uniform must be in [0, 1), or null in argmax mode alone (got {json.dumps(u)})")
-        return cls(stages=stages, drawn_token=token, drawn_uniform=u, argmax_mode=argmax_mode)
+        trace = cls(stages, u)
+        if token != trace.drawn_token:
+            raise ValueError(f"drawn_token must be {trace.drawn_token}, which the stages and uniform select "
+                             f"(got {token})")
+        return trace
 
     @classmethod
     def from_json(cls, text: str) -> "SampleTrace":
@@ -329,9 +345,7 @@ def min_p_filter(dist: ProbabilityDistribution, min_p: float) -> ProbabilityDist
     if survivors == masses.size:
         return dist
     if survivors == 0:
-        best = (masses == np.maximum.reduce(masses)).nonzero()[0]
-        pos = best[index_map[best].argmin()]
-        return ProbabilityDistribution._unchecked(np.array([1.0]), index_map[pos : pos + 1])
+        return ProbabilityDistribution._unchecked(np.array([1.0]), np.array([argmax_onehot(dist)]))
     kept = masses[keep]
     return ProbabilityDistribution._unchecked(kept / np.add.reduce(kept), index_map[keep])
 
@@ -360,18 +374,18 @@ def draw(dist: ProbabilityDistribution, rng: RandomStream) -> TokenId:
 
 
 # Hot-path constructors for the frozen trace dataclasses: the kernel passes
-# read-only arrays and well-typed values, so __init__ is skipped.
+# read-only arrays, well-typed values and the token it drew, so __init__ is skipped.
 
 
 def _record(stage: str, masses: np.ndarray, index_map: np.ndarray) -> StageRecord:
     record = object.__new__(StageRecord)
-    record.__dict__.update(stage=stage, survivor_count=masses.size, masses=masses, index_map=index_map)
+    record.__dict__.update(masses=masses, index_map=index_map, stage=stage)
     return record
 
 
-def _trace(stages: tuple[StageRecord, ...], token: TokenId, u: float | None, argmax_mode: bool) -> SampleTrace:
+def _trace(stages: tuple[StageRecord, ...], token: TokenId, u: float | None) -> SampleTrace:
     trace = object.__new__(SampleTrace)
-    trace.__dict__.update(stages=stages, drawn_token=token, drawn_uniform=u, argmax_mode=argmax_mode)
+    trace.__dict__.update(stages=stages, drawn_uniform=u, drawn_token=token)
     return trace
 
 
@@ -401,7 +415,7 @@ def run_pipeline(
         if not want_trace:
             return token, None
         p.setflags(write=False)
-        return token, _trace((_record(STAGE_SOFTMAX, p, token_ids(p.size)),), token, None, True)
+        return token, _trace((_record(STAGE_SOFTMAX, p, token_ids(p.size)),), token, None)
 
     p = softmax_masses(z, cfg.temperature)
     # The index map is 0..D-1 here, so a stable sort of -p orders ties by
@@ -424,7 +438,7 @@ def run_pipeline(
         _record(STAGE_TOP_P, p2.masses, p2.index_map),
         _record(STAGE_MIN_P, p3.masses, p3.index_map),
     )
-    return token, _trace(stages, token, u, False)
+    return token, _trace(stages, token, u)
 
 
 def _cut_rows(masses: np.ndarray, kept: np.ndarray, before: np.ndarray | int) -> np.ndarray:
@@ -483,7 +497,7 @@ def sample_rows(
             return tokens, None
         p.setflags(write=False)
         return tokens, tuple(
-            _trace((_record(STAGE_SOFTMAX, p[i], ids),), int(tokens[i]), None, True) for i in range(n)
+            _trace((_record(STAGE_SOFTMAX, p[i], ids),), int(tokens[i]), None) for i in range(n)
         )
     if u is None or np.shape(u) != (n,):
         raise ValueError(f"sampling {n} rows needs {n} uniforms")
@@ -549,5 +563,5 @@ def sample_rows(
             _record(STAGE_TOP_P, p2[i, :k2], order[i, :k2]),
             _record(STAGE_MIN_P, p3[i, :k3], index_map[i, :k3]),
         )
-        traces.append(_trace(stages, int(tokens[i]), float(u[i]), False))
+        traces.append(_trace(stages, int(tokens[i]), float(u[i])))
     return tokens, tuple(traces)

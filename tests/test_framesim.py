@@ -1,6 +1,7 @@
 """Patch-token frame world: mode-at-stay conditionals, rollouts, freeze, novelty."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -275,6 +276,25 @@ class TestKSweepAndNoveltyCurve:
             k_sweep(w, prompt, K1, [], steps=2, trials=3, master_seed=0)
         with pytest.raises(ValueError):
             novelty_curve([])
+
+    @pytest.mark.parametrize(
+        "ks, steps, trials, message",
+        [
+            ([2.7, True], 2, 1, "k must be an integer (got 2.7)"),
+            ([2, True], 2, 1, "k must be an integer (got True)"),
+            ([2], 2, 2.0, "trials must be an integer (got 2.0)"),
+            ([2], 2, 0, "trials must be >= 1 (got 0)"),
+            ([2], 2.0, 1, "steps must be an integer (got 2.0)"),
+            ([2], 0, 1, "steps must be >= 1 (got 0)"),
+        ],
+        ids=["k-2.7", "k-true", "trials-2.0", "trials-0", "steps-2.0", "steps-0"],
+    )
+    def test_counts_are_integers_checked_alike(self, ks, steps, trials, message):
+        # int() labelled the rows of ks=[2.7, True] k = 2 and k = 1; steps or trials of 2.0 raised TypeError
+        w = small_world()
+        prompt = random_frame(8, 8, 16, seed=12)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            k_sweep(w, prompt, K1, ks, steps=steps, trials=trials, master_seed=0)
 
     def test_mismatched_prompts_rejected(self):
         w = small_world()

@@ -181,7 +181,7 @@ class TestFilesAreSpelledAsJsonDumps:
 
 
 class TestPhaseTiming:
-    """With DECODELAB_LOG=DEBUG, train and generate log one line per phase; stdout and files do not move."""
+    """With DECODELAB_LOG=DEBUG, every command logs one line per phase; stdout and files do not move."""
 
     @staticmethod
     def _run(tmp_path, capsys, tag):
@@ -190,7 +190,13 @@ class TestPhaseTiming:
         corpus.write_text(CORPUS, encoding="utf-8")
         assert main(["train", str(corpus), str(model), "--order", "3"]) == EXIT_OK
         assert main(["generate", str(model), "--seed", "2", "--max-len", "30", "--trace-out", str(trace)]) == EXIT_OK
-        return capsys.readouterr().out, model.read_bytes(), trace.read_bytes()
+        sweep, sim, frames = tmp_path / tag / "sweep.csv", tmp_path / tag / "sim.csv", tmp_path / tag / "frames"
+        assert main(["sweep", str(model), "--max-len", "10", "--temps", "0", "1", "--csv-out", str(sweep)]) == EXIT_OK
+        assert main(["simulate", "--steps", "2", "--trials", "1", "--k-grid", "1", "4", "--csv-out", str(sim),
+                     "--frames-out", str(frames)]) == EXIT_OK
+        pgms = tuple(f.read_bytes() for f in sorted(frames.iterdir()))
+        out = capsys.readouterr().out.replace(str(tmp_path / tag), "")  # the CSV paths differ by tag
+        return out, model.read_bytes(), trace.read_bytes(), sweep.read_bytes(), sim.read_bytes(), pgms
 
     def test_one_debug_line_per_phase(self, tmp_path, capsys, caplog):
         quiet = self._run(tmp_path, capsys, "quiet")
@@ -199,7 +205,8 @@ class TestPhaseTiming:
             loud = self._run(tmp_path, capsys, "loud")
         phases = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
         names = ["train: read", "train: train", "train: write", "generate: load", "generate: sample",
-                 "generate: write"]
+                 "generate: write", "sweep: load", "sweep: sample", "sweep: write", "simulate: sample",
+                 "simulate: write"]
         assert [m.rsplit(" took ", 1)[0] for m in phases] == names
         assert all(m.endswith(" s") and float(m.split(" took ")[1][:-2]) >= 0.0 for m in phases)
         assert loud == quiet

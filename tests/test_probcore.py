@@ -22,7 +22,6 @@ from decodelab import (
     cross_entropy,
     default_alphabet,
     entropy,
-    full_distribution,
     renormalize,
     softmax,
 )
@@ -113,7 +112,7 @@ class TestProbabilityDistribution:
         [
             lambda m, i: ProbabilityDistribution(m, None),
             lambda m, i: ProbabilityDistribution(m, i),
-            lambda m, i: full_distribution(m),
+            lambda m, i: ProbabilityDistribution(m),  # a full distribution: the index map omitted
             lambda m, i: renormalize(m, i),
         ],
         ids=["default-index-map", "given-index-map", "full_distribution", "renormalize"],
@@ -194,15 +193,15 @@ class TestSoftmax:
 
 class TestArgmaxOnehot:
     def test_plain_max(self):
-        assert argmax_onehot(full_distribution([0.1, 0.7, 0.2])) == 1
+        assert argmax_onehot(ProbabilityDistribution([0.1, 0.7, 0.2])) == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        assert argmax_onehot(full_distribution([0.5, 0.5])) == 0
+        assert argmax_onehot(ProbabilityDistribution([0.5, 0.5])) == 0
 
     def test_onehot_identity(self):
         masses = np.zeros(40)
         masses[7] = 1.0
-        assert argmax_onehot(full_distribution(masses)) == 7
+        assert argmax_onehot(ProbabilityDistribution(masses)) == 7
 
     def test_tie_break_uses_original_token_index(self):
         d = ProbabilityDistribution(np.array([0.5, 0.5]), np.array([4, 2]))
@@ -213,14 +212,14 @@ class TestEntropy:
     def test_onehot_is_zero(self):
         masses = np.zeros(8)
         masses[3] = 1.0
-        assert entropy(full_distribution(masses)) == 0.0
+        assert entropy(ProbabilityDistribution(masses)) == 0.0
 
     def test_uniform_is_log_count(self):
-        assert entropy(full_distribution([0.25] * 4)) == pytest.approx(math.log(4.0), abs=1e-12)
+        assert entropy(ProbabilityDistribution([0.25] * 4)) == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_direct_summation_oracle(self):
         # analytic: 1.5 * ln 2; decimal oracle 1.0397207708399179
-        h = entropy(full_distribution([0.5, 0.25, 0.25]))
+        h = entropy(ProbabilityDistribution([0.5, 0.25, 0.25]))
         assert h == pytest.approx(1.0397207708399179, abs=1e-12)
 
     @given(finite_logits, temperatures)
@@ -260,13 +259,13 @@ class TestCrossEntropy:
     def test_matching_onehot_is_zero(self):
         masses = np.zeros(5)
         masses[2] = 1.0
-        assert cross_entropy(full_distribution(masses), 2) == 0.0
+        assert cross_entropy(ProbabilityDistribution(masses), 2) == 0.0
 
     def test_half_mass_gives_ln2(self):
-        assert cross_entropy(full_distribution([0.5, 0.5]), 0) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert cross_entropy(ProbabilityDistribution([0.5, 0.5]), 0) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_zero_mass_target_gives_infinity(self):
-        assert cross_entropy(full_distribution([1.0, 0.0]), 1) == math.inf
+        assert cross_entropy(ProbabilityDistribution([1.0, 0.0]), 1) == math.inf
 
     def test_pruned_target_gives_infinity(self):
         d = ProbabilityDistribution(np.array([1.0]), np.array([3]))
@@ -274,7 +273,7 @@ class TestCrossEntropy:
 
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
-            cross_entropy(full_distribution([0.5, 0.5]), -1)
+            cross_entropy(ProbabilityDistribution([0.5, 0.5]), -1)
 
     @given(finite_logits, temperatures, st.integers(min_value=0, max_value=39))
     def test_non_negative(self, z, t, target):

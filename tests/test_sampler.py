@@ -20,10 +20,11 @@ from decodelab import (
     SampleTrace,
     SamplerConfig,
     StageRecord,
+    build_world,
     derive_seed,
     draw,
-    full_distribution,
     min_p_filter,
+    random_frame,
     run_pipeline,
     sample_rows,
     softmax,
@@ -159,7 +160,11 @@ class TestSeedContract:
         ],
     )
     def test_every_seed_taker_refuses_a_bad_seed_alike(self, seed, message):
-        for take in (lambda: SamplerConfig(1.0, 1, seed=seed), lambda: RandomStream(seed), lambda: derive_seed(seed, 0)):
+        takers = (
+            lambda: SamplerConfig(1.0, 1, seed=seed), lambda: RandomStream(seed), lambda: derive_seed(seed, 0),
+            lambda: build_world(2, 2, 4, 0.5, seed=seed), lambda: random_frame(2, 2, 4, seed=seed),
+        )
+        for take in takers:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 take()
 
@@ -168,20 +173,22 @@ class TestSeedContract:
             assert SamplerConfig(1.0, 1, seed=seed).seed == seed
             assert RandomStream(seed).seed == seed
             assert 0 <= derive_seed(seed, 0) < 2**64
+            assert build_world(2, 2, 4, 0.5, seed=seed).seed == seed
+            np.testing.assert_array_equal(random_frame(2, 2, 4, seed=seed), random_frame(2, 2, 4, seed=int(seed)))
 
 
 class TestSortDescending:
     def test_sorts_and_records_provenance(self):
-        d = sort_descending(full_distribution([0.2, 0.5, 0.3]))
+        d = sort_descending(ProbabilityDistribution([0.2, 0.5, 0.3]))
         np.testing.assert_allclose(d.masses, [0.5, 0.3, 0.2])
         np.testing.assert_array_equal(d.index_map, [1, 2, 0])
 
     def test_idempotent_on_sorted_input(self):
-        d = sort_descending(full_distribution([0.5, 0.3, 0.2]))
+        d = sort_descending(ProbabilityDistribution([0.5, 0.3, 0.2]))
         np.testing.assert_array_equal(d.index_map, [0, 1, 2])
 
     def test_ties_order_by_ascending_token_index(self):
-        d = sort_descending(full_distribution([0.4, 0.4, 0.2]))
+        d = sort_descending(ProbabilityDistribution([0.4, 0.4, 0.2]))
         np.testing.assert_array_equal(d.index_map, [0, 1, 2])
 
 
@@ -192,13 +199,13 @@ class TestTopKFilter:
         assert len(top_k_filter(d, 20)) == 20
 
     def test_exact_rational_renormalization(self):
-        d = sort_descending(full_distribution([0.4, 0.3, 0.2, 0.1]))
+        d = sort_descending(ProbabilityDistribution([0.4, 0.3, 0.2, 0.1]))
         kept = top_k_filter(d, 2)
         np.testing.assert_allclose(kept.masses, [4.0 / 7.0, 3.0 / 7.0], atol=1e-12)
         np.testing.assert_array_equal(kept.index_map, [0, 1])
 
     def test_k_at_least_count_is_identity(self):
-        d = sort_descending(full_distribution([0.6, 0.4]))
+        d = sort_descending(ProbabilityDistribution([0.6, 0.4]))
         kept = top_k_filter(d, 7)
         np.testing.assert_array_equal(kept.masses, d.masses)
         np.testing.assert_array_equal(kept.index_map, d.index_map)
@@ -206,18 +213,18 @@ class TestTopKFilter:
 
 class TestTopPFilter:
     def test_crossing_entry_is_included(self):
-        d = sort_descending(full_distribution([0.5, 0.3, 0.15, 0.05]))
+        d = sort_descending(ProbabilityDistribution([0.5, 0.3, 0.15, 0.05]))
         kept = top_p_filter(d, 0.9)
         assert len(kept) == 3
         np.testing.assert_allclose(kept.masses, np.array([0.5, 0.3, 0.15]) / 0.95, atol=1e-12)
 
     def test_full_mass_is_identity(self):
-        d = sort_descending(full_distribution([0.5, 0.3, 0.2]))
+        d = sort_descending(ProbabilityDistribution([0.5, 0.3, 0.2]))
         kept = top_p_filter(d, 1.0)
         np.testing.assert_array_equal(kept.masses, d.masses)
 
     def test_first_entry_already_crossing_leaves_one_survivor(self):
-        d = sort_descending(full_distribution([0.5, 0.3, 0.15, 0.05]))
+        d = sort_descending(ProbabilityDistribution([0.5, 0.3, 0.15, 0.05]))
         kept = top_p_filter(d, 0.1)
         assert len(kept) == 1
         assert kept.masses[0] == 1.0
@@ -234,18 +241,18 @@ class TestTopPFilter:
 
 class TestMinPFilter:
     def test_absolute_floor_drops_small_masses(self):
-        d = full_distribution([0.5, 0.3, 0.15, 0.05])
+        d = ProbabilityDistribution([0.5, 0.3, 0.15, 0.05])
         kept = min_p_filter(d, 0.06)
         assert len(kept) == 3
         np.testing.assert_allclose(kept.masses, np.array([0.5, 0.3, 0.15]) / 0.95, atol=1e-12)
 
     def test_zero_floor_is_identity(self):
-        d = full_distribution([0.5, 0.3, 0.15, 0.05])
+        d = ProbabilityDistribution([0.5, 0.3, 0.15, 0.05])
         kept = min_p_filter(d, 0.0)
         np.testing.assert_array_equal(kept.masses, d.masses)
 
     def test_survivor_guarantee_keeps_largest(self):
-        d = full_distribution([0.5, 0.3, 0.15, 0.05])
+        d = ProbabilityDistribution([0.5, 0.3, 0.15, 0.05])
         kept = min_p_filter(d, 0.6)
         assert len(kept) == 1
         assert kept.masses[0] == 1.0
@@ -266,7 +273,7 @@ class TestDraw:
 
     def test_uniform_frequencies_within_binomial_bound(self):
         # 6 sigma for Binomial(100000, 0.25) is 0.0082, inside the 0.01 bar
-        d = full_distribution([0.25] * 4)
+        d = ProbabilityDistribution([0.25] * 4)
         rng = RandomStream(321)
         counts = np.zeros(4)
         for _ in range(100_000):
@@ -274,7 +281,7 @@ class TestDraw:
         np.testing.assert_allclose(counts / 100_000.0, 0.25, atol=0.01)
 
     def test_fixed_seed_fixed_distribution_is_repeatable(self):
-        d = full_distribution([0.1, 0.2, 0.3, 0.4])
+        d = ProbabilityDistribution([0.1, 0.2, 0.3, 0.4])
         assert draw(d, RandomStream(99)) == draw(d, RandomStream(99))
 
     def test_cumulation_runs_over_original_token_order(self):
@@ -286,7 +293,7 @@ class TestDraw:
         assert draw(d, RandomStream(7)) == expected
 
     def test_consumes_exactly_one_uniform(self):
-        d = full_distribution([0.5, 0.5])
+        d = ProbabilityDistribution([0.5, 0.5])
         rng = RandomStream(13)
         draw(d, rng)
         reference = RandomStream(13)
@@ -483,6 +490,61 @@ class TestTraceSerialization:
             SampleTrace.from_json(json.dumps(doc))
 
 
+class TestDerivedTraceFields:
+    """A trace stores its stages and its uniform; the survivor counts, argmax mode and token are read from them."""
+
+    ARGMAX_DOC = {
+        "argmax_mode": True, "drawn_token": 0, "drawn_uniform": None,
+        "stages": [{"stage": STAGE_SOFTMAX, "survivor_count": 2, "masses": [0.27, 0.73], "index_map": [0, 1]}],
+    }
+
+    def test_a_drawn_token_the_stages_do_not_select_is_refused(self):
+        # both documents loaded before the reader compared the token with the one it derives
+        with pytest.raises(ValueError, match=r"^drawn_token must be 1, which the stages and uniform select \(got 0\)$"):
+            SampleTrace.from_json(json.dumps(self.ARGMAX_DOC))
+        _, trace = run_pipeline(np.array([3.0, 2.0, 1.0, -9.0]), SamplerConfig(1.0, 3), RandomStream(5))
+        doc = json.loads(trace.to_json())
+        assert (doc["drawn_token"], doc["stages"][-1]["index_map"]) == (1, [0, 1, 2])
+        doc["drawn_token"] = 2  # a survivor, but not the one drawn_uniform selects
+        with pytest.raises(ValueError, match=r"^drawn_token must be 1, .* \(got 2\)$"):
+            SampleTrace.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "masses, index_map, message",
+        [
+            ([-0.5, 1.5], [0, 1], r"^masses must be non-negative$"),
+            ([0.5, 0.5], [3, 3], r"^index_map entries must be distinct non-negative token indices$"),
+            ([0.5, 0.5], [0, 1, 2], r"^masses and index_map must have equal length$"),
+        ],
+    )
+    def test_a_stage_record_is_checked_as_a_distribution(self, masses, index_map, message):
+        with pytest.raises(ValueError, match=message):
+            StageRecord(np.array(masses), np.array(index_map), stage=STAGE_TOP_K)
+
+    def test_a_stage_record_is_a_distribution_whose_count_is_its_size(self):
+        record = StageRecord([0.25, 0.75], [4, 2], stage=STAGE_TOP_P)
+        assert isinstance(record, ProbabilityDistribution)
+        assert record.survivor_count == len(record) == 2
+        assert record.to_json_dict() == {"stage": STAGE_TOP_P, "survivor_count": 2, "masses": [0.25, 0.75],
+                                         "index_map": [4, 2]}
+
+    def test_argmax_mode_is_the_absence_of_a_uniform(self):
+        _, trace = run_pipeline(np.linspace(1.0, -1.0, 5), SamplerConfig(1.0, 2), RandomStream(3))
+        assert not SampleTrace(trace.stages[:1], 0.5).argmax_mode
+        assert SampleTrace(trace.stages, None).argmax_mode
+
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_the_derived_token_is_the_kernels_token(self, temperature):
+        # tied maxima: argmax mode and the min-p fallback both take the lowest index
+        z = np.array([1.0, 3.0, 0.0, 3.0])
+        cfg = SamplerConfig(temperature, 4, 1.0, 0.9)
+        for seed in range(20):
+            token, trace = run_pipeline(z, cfg, RandomStream(seed))
+            assert token == 1
+            assert SampleTrace(trace.stages, trace.drawn_uniform).drawn_token == token
+            assert SampleTrace.from_json(trace.to_json()).drawn_token == token
+
+
 # -- Frozen reference pipeline ------------------------------------------------
 #
 # The staged pipeline as it stood before run_pipeline became one array-level
@@ -507,14 +569,14 @@ def reference_run_pipeline(z, cfg, rng, *, want_trace=True):
         return e / e.sum(), np.arange(z.size, dtype=np.int64)
 
     def record(stage, masses, index_map):
-        return StageRecord(stage, int(masses.size), masses, index_map)
+        return StageRecord(masses, index_map, stage=stage)
 
     if cfg.temperature == 0.0:
         p, idx = soft(1.0)
         token = int(idx[np.flatnonzero(p == p.max())].min())
         if not want_trace:
             return token, None
-        return token, SampleTrace((record(STAGE_SOFTMAX, p, idx),), token, None, argmax_mode=True)
+        return token, SampleTrace((record(STAGE_SOFTMAX, p, idx),), None)
 
     p0, i0 = soft(cfg.temperature)
     order = np.lexsort((i0, -p0))
@@ -551,7 +613,7 @@ def reference_run_pipeline(z, cfg, rng, *, want_trace=True):
         record(STAGE_TOP_P, m2, i2),
         record(STAGE_MIN_P, m3, i3),
     )
-    return token, SampleTrace(stages, token, u)
+    return token, SampleTrace(stages, u)
 
 
 _tie_prone = st.sampled_from([0.0, 1.0, -1.0, 2.5, -40.0, 700.0, -700.0])
@@ -583,6 +645,8 @@ class TestKernelMatchesReference:
         with np.errstate(over="ignore"):
             ours = run_pipeline(z, cfg, ours_rng, want_trace=want_trace)
             ref = reference_run_pipeline(z, cfg, ref_rng, want_trace=want_trace)
+        if want_trace:  # the reference draws on its own; its trace derives the token from its stages
+            assert ref[1].drawn_token == ref[0]
         return ours, ref, ours_rng.next_uniform(), ref_rng.next_uniform()
 
     @settings(max_examples=400)
