@@ -102,10 +102,12 @@ def _grid_rows(p: dict) -> int:
 #: may request, checked once all values are merged and before anything is
 #: allocated; a size above its cap is a usage error (exit 2).  Training runs
 #: one counting pass per order.  A generated token keeps its sampling trace
-#: (a few KB) until the command ends, and a sweep runs every grid row.  A
-#: ``simulate`` frame step holds a few ``(height * width, vocab)`` float64
-#: arrays, and every predicted frame of the sweep is kept until the CSV is
-#: written.
+#: (a few KB) until the command ends, and a sweep runs every grid row.
+#: ``simulate`` steps its rollouts in lock-step, in batches whose sampling
+#: call holds a few ``(rows, vocab)`` float64 arrays of at most 2^20 cells
+#: (``framesim._CELLS_PER_CALL``), the cells of one frame step at the
+#: ``height * width * vocab`` cap; every predicted frame of the sweep is
+#: kept until the CSV is written.
 _SIZE_CAPS: dict[str, list[tuple[str, Callable[[dict], int], int]]] = {
     "train": [
         ("order", lambda p: p["order"], 32),

@@ -22,12 +22,18 @@ freeze index is read from the per-step novelty, which is 0 exactly when a
 frame repeats its predecessor.
 
 Patches are sampled independently given the previous frame (there is no
-within-frame autoregression), in row-major order from one shared random
-stream, so rollouts are cheap, analytic, and fully deterministic per seed.
-All patches of a frame are drawn in one batched pass: the conditionals of
-every patch are built as one matrix and sampled by
-:func:`~decodelab.sampler.sample_rows`, with the same per-patch arithmetic
-and the same row-major order of uniforms as sampling patch by patch.
+within-frame autoregression), in row-major order from the rollout's own
+random stream, so rollouts are cheap, analytic, and fully deterministic per
+seed.  The rollouts of a :func:`k_sweep` advance in lock-step: each step
+builds the conditionals of every patch of every rollout as one matrix and
+samples it in one :func:`~decodelab.sampler.sample_rows` call, each row
+with its rollout's top-k.  Each rollout takes its patches' uniforms from its
+own stream in row-major order, and each patch gets the same arithmetic as
+when sampled alone, so a rollout's frames do not depend on which rollouts
+step beside it.  :func:`rollout` and :func:`predict_frame` are the
+one-rollout case of the same loop and step.  One call holds at most
+``_CELLS_PER_CALL`` (patch, token) cells; a larger sweep runs in batches of
+whole rollouts.
 """
 
 from __future__ import annotations
@@ -55,6 +61,11 @@ FrameGrid = np.ndarray
 #: Fraction of the deviation budget actually used; keeps the mode and
 #: positivity invariants strict rather than marginal.
 _DEVIATION_HEADROOM = 0.9
+
+#: The most (patch, token) cells that one sampling call of a lock-step
+#: rollout holds: the ``height * width * vocab`` that ``simulate`` allows
+#: a single frame step, so a sweep's working set is that of one step.
+_CELLS_PER_CALL = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +116,8 @@ def _conditionals(world: WorldModel, stay: np.ndarray, rows: np.ndarray, tokens:
     n = stay.size
     rest = 1.0 - world.stay_mass
     base = rest / (v - 1)
-    w = np.tile(world.token_bias, (n, 1))
+    w = np.empty((n, v), dtype=np.float64)
+    w[:] = world.token_bias
     np.add.at(w, (rows, tokens), world.neighbor_gain)
     others = np.ones((n, v), dtype=bool)
     others[np.arange(n), stay] = False
@@ -132,8 +144,10 @@ def build_world(
 
     ``stay_mass`` must exceed ``1/vocab`` so "stay" can strictly dominate
     every other mass, and be below 1 so the rest of the vocabulary keeps
-    positive probability.
+    positive probability.  The grid sizes and the vocabulary size must be
+    integers, not floats or bools that ``int()`` would truncate.
     """
+    height, width, vocab = _check_int(height, "height"), _check_int(width, "width"), _check_int(vocab, "vocab")
     if height < 1 or width < 1:
         raise ValueError(f"grid must be at least 1x1 (got {height}x{width})")
     if vocab < 2:
@@ -149,9 +163,9 @@ def build_world(
     bias = gen.uniform(-1.0, 1.0, size=vocab)
     bias.flags.writeable = False
     return WorldModel(
-        height=int(height),
-        width=int(width),
-        vocab=int(vocab),
+        height=height,
+        width=width,
+        vocab=vocab,
         stay_mass=float(stay_mass),
         neighbor_gain=float(neighbor_gain),
         seed=seed,
@@ -161,8 +175,9 @@ def build_world(
 
 def random_frame(height: int, width: int, vocab: int, seed: int) -> FrameGrid:
     """A uniformly random prompt frame, deterministic in ``seed``."""
+    shape = (_check_int(height, "height"), _check_int(width, "width"))
     gen = np.random.Generator(np.random.Philox(_check_seed(seed)))
-    return gen.integers(0, vocab, size=(height, width), dtype=np.int64)
+    return gen.integers(0, _check_int(vocab, "vocab"), size=shape, dtype=np.int64)
 
 
 def _check_frame(world: WorldModel, frame: FrameGrid) -> np.ndarray:
@@ -176,6 +191,34 @@ def _check_frame(world: WorldModel, frame: FrameGrid) -> np.ndarray:
     if f.size and (f.min() < 0 or f.max() >= world.vocab):
         raise ValueError(f"frame tokens must lie in [0, {world.vocab})")
     return f.astype(np.int64, copy=False)
+
+
+def _step(
+    world: WorldModel,
+    prev: np.ndarray,
+    cfg: SamplerConfig,
+    top_k: np.ndarray | None,
+    rngs: Sequence[RandomStream],
+    *,
+    want_traces: bool,
+) -> tuple[np.ndarray, tuple[SampleTrace, ...] | None]:
+    """Sample the next frame of every rollout in ``prev``, an ``(R, H, W)`` stack.
+
+    The conditionals of all ``R * H * W`` patches are built as one matrix
+    and sampled in one :func:`sample_rows` call, row ``i`` with k
+    ``top_k[i]`` (None: ``cfg.top_k`` for every row).  Rollout ``r`` takes
+    ``H * W`` uniforms from its own stream ``rngs[r]`` (none in argmax
+    mode), so its frame is the one it gets when stepped alone.
+    """
+    at = np.arange(prev.size).reshape(prev.shape)
+    # Each patch's neighbors in its own frame, in the order up, down, left, right.
+    rows = np.concatenate([at[:, 1:, :], at[:, :-1, :], at[:, :, 1:], at[:, :, :-1]], axis=None)
+    neighbors = np.concatenate([prev[:, :-1, :], prev[:, 1:, :], prev[:, :, :-1], prev[:, :, 1:]], axis=None)
+    z = logits_from_masses(_conditionals(world, prev.ravel(), rows, neighbors))
+    patches = world.height * world.width
+    u = None if cfg.temperature == 0.0 else np.concatenate([rng.next_uniforms(patches) for rng in rngs])
+    tokens, traces = sample_rows(z, cfg, u, top_k=top_k, want_traces=want_traces)
+    return tokens.reshape(prev.shape), traces
 
 
 def predict_frame(
@@ -195,15 +238,8 @@ def predict_frame(
     patch in the same order.
     """
     prev = _check_frame(world, prev)
-    h, w = world.height, world.width
-    at = np.arange(h * w).reshape(h, w)
-    # Each patch's neighbors in the order up, down, left, right.
-    rows = np.concatenate([at[1:, :], at[:-1, :], at[:, 1:], at[:, :-1]], axis=None)
-    neighbors = np.concatenate([prev[:-1, :], prev[1:, :], prev[:, :-1], prev[:, 1:]], axis=None)
-    cond = _conditionals(world, prev.ravel(), rows, neighbors)
-    u = None if cfg.temperature == 0.0 else rng.next_uniforms(h * w)
-    tokens, traces = sample_rows(logits_from_masses(cond), cfg, u, want_traces=want_traces)
-    out = tokens.reshape(h, w)
+    frames, traces = _step(world, prev[None], cfg, None, [rng], want_traces=want_traces)
+    out = frames[0]
     out.flags.writeable = False
     return out, traces
 
@@ -257,25 +293,50 @@ def rollout(
     cfg: SamplerConfig,
     steps: int,
 ) -> Rollout:
-    """Iterate :func:`predict_frame` ``steps`` times, feeding each output back.
+    """Predict ``steps`` frames, feeding each output back.
 
     Deterministic in (world, prompt, cfg, steps): the whole trajectory uses
     one stream seeded from ``cfg.seed``.  The prompt and every predicted
     frame are written into one ``(steps + 1, H, W)`` array.
     """
+    return _rollouts(world, prompt_frame, [cfg], steps)[0]
+
+
+def _rollouts(
+    world: WorldModel,
+    prompt_frame: FrameGrid,
+    cfgs: Sequence[SamplerConfig],
+    steps: int,
+) -> list[Rollout]:
+    """One rollout per config from one prompt, all advancing one frame per step.
+
+    The configs may differ in ``top_k`` and ``seed`` alone; the first one
+    gives the other knobs.  Each rollout samples with its own k and from
+    its own stream seeded from its config, so it equals the rollout of its
+    config alone.  Rollouts run in batches of whole rollouts, as many as
+    keep one step's sampling call within ``_CELLS_PER_CALL`` cells (one, if
+    a single frame step holds more).
+    """
     if _check_int(steps, "steps") < 1:
         raise ValueError(f"steps must be >= 1 (got {steps})")
     prompt_frame = _check_frame(world, prompt_frame)
-    rng = RandomStream(cfg.seed)
-    frames = np.empty((steps + 1, world.height, world.width), dtype=np.int64)
-    frames[0] = prompt_frame
-    for s in range(steps):
-        frames[s + 1], _ = predict_frame(world, frames[s], cfg, rng, want_traces=False)
-    frames.flags.writeable = False
-    # A mean of 0/1 values is an exact count over H * W: the bits of a per-step np.mean.
-    novelty = (frames[1:] != frames[:-1]).mean(axis=(1, 2))
-    novelty.flags.writeable = False
-    return Rollout(frames=tuple(frames), novelty=novelty)
+    h, w, v = world.height, world.width, world.vocab
+    per_call = max(1, _CELLS_PER_CALL // (h * w * v))
+    out = []
+    for start in range(0, len(cfgs), per_call):
+        batch = cfgs[start : start + per_call]
+        rngs = [RandomStream(c.seed) for c in batch]
+        top_k = np.repeat([min(c.top_k, v) for c in batch], h * w)
+        frames = np.empty((len(batch), steps + 1, h, w), dtype=np.int64)
+        frames[:, 0] = prompt_frame
+        for s in range(steps):
+            frames[:, s + 1], _ = _step(world, frames[:, s], batch[0], top_k, rngs, want_traces=False)
+        frames.flags.writeable = False
+        # A mean of 0/1 values is an exact count over H * W: the bits of a per-step np.mean.
+        novelty = (frames[:, 1:] != frames[:, :-1]).mean(axis=(2, 3))
+        novelty.flags.writeable = False
+        out += [Rollout(frames=tuple(f), novelty=n) for f, n in zip(frames, novelty)]
+    return out
 
 
 def k_sweep(
@@ -292,7 +353,9 @@ def k_sweep(
     Each rollout seed depends only on the (k, trial) pair, not on the sweep
     position, so reordering or duplicating entries in ``ks`` reproduces the
     exact same rows and concurrent execution stays deterministic.  Every
-    config is built, and so checked, before the first rollout runs.
+    config is built, and so checked, before the first rollout runs.  The
+    rollouts of every k advance in lock-step, one sampling call per step
+    for each batch of whole rollouts that fits in ``_CELLS_PER_CALL``.
     """
     if len(ks) == 0:
         raise ValueError("k sweep needs at least one k value")
@@ -303,7 +366,8 @@ def k_sweep(
         k = _check_int(k, "k")
         k_seed = derive_seed(master_seed, k)
         grid.append((k, [replace(base_cfg, top_k=k, seed=derive_seed(k_seed, t)) for t in range(trials)]))
-    return [(k, [rollout(world, prompt_frame, cfg, steps) for cfg in cfgs]) for k, cfgs in grid]
+    rolls = iter(_rollouts(world, prompt_frame, [c for _, cfgs in grid for c in cfgs], steps))
+    return [(k, [next(rolls) for _ in cfgs]) for k, cfgs in grid]
 
 
 def novelty_curve(entries: Sequence[tuple[int, Sequence[Rollout]]]) -> list[tuple[int, float]]:

@@ -22,9 +22,10 @@ mode: the pipeline is bypassed and the most probable token under
 ``softmax(z, 1)`` is returned deterministically.
 
 :func:`run_pipeline` samples one logit vector; :func:`sample_rows` samples
-every row of a logit matrix under one config in a single array pass, with
-the same arithmetic per row, so each row's token and trace are those of
-:func:`run_pipeline` given the same uniform.
+every row of a logit matrix under one config, optionally with a top-k per
+row, in a single array pass, with the same arithmetic per row, so each
+row's token and trace are those of :func:`run_pipeline` given the same
+uniform and that row's k.
 
 Randomness comes from :class:`RandomStream`, a Philox (4x64)
 counter-based generator.  The algorithm identity is part of the external
@@ -72,6 +73,13 @@ def _check_int(x, name: str) -> int:
     return int(x)
 
 
+def _check_real(x, name: str) -> None:
+    """Refuse ``x`` unless it is a Python or numpy integer or float: a bool
+    reads as 0 or 1, so ``True`` would pass as a temperature or a top_p of 1."""
+    if not isinstance(x, (int, float, np.integer, np.floating)) or isinstance(x, bool):
+        raise ValueError(f"{name} must be a number (got {x!r})")
+
+
 def _check_seed(seed) -> int:
     """``seed`` as an int: every seed, master or derived, is an integer in
     ``0 .. 2^64 - 1``, checked here and nowhere else."""
@@ -96,6 +104,8 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("temperature", "top_p", "min_p"):
+            _check_real(getattr(self, name), name)
         if not np.isfinite(self.temperature) or self.temperature < 0:
             raise ValueError(f"temperature must satisfy T >= 0 (got {self.temperature!r})")
         if _check_int(self.top_k, "top_k") < 1:
@@ -459,18 +469,34 @@ def _cut_rows(masses: np.ndarray, kept: np.ndarray, before: np.ndarray | int) ->
     return out
 
 
+def _row_ks(top_k, n: int) -> np.ndarray:
+    """The per-row k of :func:`sample_rows`: ``n`` integers, each at least 1."""
+    ks = np.asarray(top_k)
+    if ks.shape != (n,):
+        raise ValueError(f"per-row top_k for {n} rows must have shape ({n},) (got {ks.shape})")
+    if ks.dtype.kind not in "iu":  # signed or unsigned integers: not bool ("b") or float ("f")
+        raise ValueError(f"per-row top_k must hold integers (got dtype {ks.dtype})")
+    if ks.min() < 1:
+        i = int((ks < 1).argmax())
+        raise ValueError(f"the top_k of row {i} must satisfy k >= 1 (got {ks[i]})")
+    return ks
+
+
 def sample_rows(
     z: np.ndarray,
     cfg: SamplerConfig,
     u: np.ndarray | None,
     *,
+    top_k: np.ndarray | None = None,
     want_traces: bool = True,
 ) -> tuple[np.ndarray, tuple[SampleTrace, ...] | None]:
     """Run the staged pipeline on every row of an ``(N, D)`` logit matrix.
 
     Row ``i`` gets exactly the token and trace that :func:`run_pipeline`
     gives for ``z[i]`` and ``cfg`` when the stream's next uniform is
-    ``u[i]``; the rows share one config.  In argmax mode
+    ``u[i]``; the rows share one config.  ``top_k``, an ``(N,)`` integer
+    array, gives each row its own k in place of ``cfg.top_k``, so row ``i``
+    is sampled as under ``replace(cfg, top_k=top_k[i])``.  In argmax mode
     (``cfg.temperature == 0``) nothing is drawn and ``u`` is not read, so
     the caller takes no uniforms (pass None).
 
@@ -481,8 +507,10 @@ def sample_rows(
     sum per row gives the same partial sums as the sequential draw.
 
     Returns the ``(N,)`` int64 tokens and, unless ``want_traces=False``, one
-    trace per row.  Raises ValueError, naming the first such row, for a
-    uniform outside ``[0, 1)`` (NaN included), which no stream yields.
+    trace per row.  Raises ValueError for a per-row ``top_k`` of another
+    shape or of a float or bool dtype, and, naming the first such row, for
+    a k below 1 and a uniform outside ``[0, 1)`` (NaN included), which no
+    stream yields.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.size == 0:
@@ -490,6 +518,10 @@ def sample_rows(
     as_logits(z.ravel())  # every entry finite
     n, size = z.shape
     ids = token_ids(size)
+    if top_k is None:
+        n1 = np.full(n, min(cfg.top_k, size))
+    else:
+        n1 = np.minimum(_row_ks(top_k, n), size).astype(np.int64)  # uint64 and int64 would mix to float64
     if cfg.temperature == 0.0:
         p = softmax_masses(z, 1.0)
         tokens = p.argmax(axis=1)  # the first maximum: ties go to the lowest index
@@ -510,11 +542,11 @@ def sample_rows(
     p = softmax_masses(z, cfg.temperature)
     # A stable sort of -p orders ties by ascending token index, as in run_pipeline.
     order = (-p).argsort(axis=1, kind="stable")
-    ranked = np.take_along_axis(p, order, axis=1)
+    row = np.arange(n)[:, None]
+    ranked = p[row, order]
     # Survivor counts after top-k, top-p and min-p; every stage's masses keep
     # the full width D, with zeros after each row's survivors.
-    n1 = min(cfg.top_k, size)
-    p1 = _cut_rows(ranked, np.full(n, n1), size)
+    p1 = _cut_rows(ranked, n1, size)
     # Top-p keeps the shortest prefix whose cumulative mass reaches top_p (the
     # crossing entry included); a search past the end keeps everything.
     n2 = np.minimum(np.count_nonzero(np.add.accumulate(p1, axis=1) < cfg.top_p, axis=1) + 1, n1)
@@ -543,7 +575,7 @@ def sample_rows(
     # adding 0.0 is exact), then the first survivor whose cumulative mass
     # exceeds u; past the total, the survivor with the highest token index.
     dense = np.empty_like(p3)
-    np.put_along_axis(dense, index_map, p3, axis=1)
+    dense[row, index_map] = p3
     tokens = np.count_nonzero(np.add.accumulate(dense, axis=1) <= u[:, None], axis=1)
     clamped = np.flatnonzero(tokens == size)
     if clamped.size:
@@ -556,10 +588,10 @@ def sample_rows(
         arr.setflags(write=False)
     traces = []
     for i in range(n):
-        k2, k3 = n2[i], n3[i]
+        k1, k2, k3 = n1[i], n2[i], n3[i]
         stages = (
             _record(STAGE_SOFTMAX, p[i], ids),
-            _record(STAGE_TOP_K, p1[i, :n1], order[i, :n1]),
+            _record(STAGE_TOP_K, p1[i, :k1], order[i, :k1]),
             _record(STAGE_TOP_P, p2[i, :k2], order[i, :k2]),
             _record(STAGE_MIN_P, p3[i, :k3], index_map[i, :k3]),
         )

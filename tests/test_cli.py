@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_framesim import reference_predict_frame
+from test_framesim import reference_k_sweep
 from test_ngram import ReferenceNGramModel, reference_tokenize, reference_train_ngram
 from test_sampler import reference_run_pipeline
 
@@ -233,6 +233,8 @@ class TestConfigTypes:
             ("generate", {"max_len": None}),
             ("train", {"alpha": 10**400}),
             ("sweep", {"temps": [0.5, 10**400]}),
+            ("simulate", {"height": 2.5}),
+            ("sweep", {"temps": [True]}),
         ],
     )
     def test_wrong_json_type_is_a_usage_error(self, tmp_path, corpus_file, model_file, capsys, command, config):
@@ -517,7 +519,7 @@ class TestKernelByteIdentity:
                                                                 pgm_count):
         shipped = self._simulation(tmp_path, capsys, monkeypatch, "shipped", argv)
         with monkeypatch.context() as m:
-            m.setattr(framesim, "predict_frame", reference_predict_frame)
+            m.setattr(cli, "k_sweep", reference_k_sweep)  # one rollout per (k, trial), frame by frame
             reference = self._simulation(tmp_path, capsys, m, "reference", argv)
         assert len(shipped[2]) == pgm_count and shipped == reference
 
@@ -578,14 +580,24 @@ class TestSimulate:
         assert main(["simulate", "--steps", "1", "--trials", "1"]) == EXIT_USAGE
 
     def test_a_bad_k_late_in_the_grid_exits_before_any_rollout(self, tmp_path, capsys, monkeypatch):
+        # every frame step of every rollout samples through framesim.sample_rows
         calls = []
-        monkeypatch.setattr(framesim, "rollout", lambda *a: calls.append(a))
+        sample_rows = framesim.sample_rows
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return sample_rows(*args, **kwargs)
+
+        monkeypatch.setattr(framesim, "sample_rows", recording)
         out = tmp_path / "sim.csv"
         argv = ["simulate", "--k-grid", "16", "4", "0", "--steps", "200", "--trials", "20", "--csv-out", str(out)]
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.err == "error: top_k must satisfy k >= 1 (got 0)\n"
         assert calls == [] and captured.out == "" and not out.exists()
+        argv.remove("0")  # the grid less its bad k, over 2 steps: one patched call per step
+        argv[argv.index("200")] = "2"
+        assert main(argv) == EXIT_OK and len(calls) == 2
 
     # Each cap at its value and at one more, through the parameter check alone:
     # nothing is ever run or allocated at these sizes.

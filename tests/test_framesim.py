@@ -2,6 +2,8 @@
 
 import itertools
 import re
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from decodelab import (
     RandomStream,
     SamplerConfig,
     build_world,
+    derive_seed,
     frame_to_pgm,
     k_sweep,
     logits_from_masses,
@@ -84,6 +87,30 @@ class TestBuildWorld:
     def test_rejects_tiny_vocabulary(self):
         with pytest.raises(ValueError):
             build_world(4, 4, 1, 0.9, seed=0)
+
+    @pytest.mark.parametrize(
+        "make, args, message",
+        [
+            # int() built a 2-row world from 2.7 and a 1x1 world from True, True
+            (build_world, (2.7, 2, 4, 0.5, 0), "height must be an integer (got 2.7)"),
+            (build_world, (True, True, 4, 0.5, 0), "height must be an integer (got True)"),
+            (build_world, (2, 2.0, 4, 0.5, 0), "width must be an integer (got 2.0)"),
+            (build_world, (2, 2, 4.9, 0.5, 0), "vocab must be an integer (got 4.9)"),
+            # numpy raised TypeError for these
+            (random_frame, (2.7, 2, 4, 0), "height must be an integer (got 2.7)"),
+            (random_frame, (2, False, 4, 0), "width must be an integer (got False)"),
+            (random_frame, (2, 2, np.float64(4.0), 0), "vocab must be an integer (got np.float64(4.0))"),
+        ],
+        ids=["world-height-2.7", "world-true-true", "world-width-2.0", "world-vocab-4.9", "frame-height-2.7",
+             "frame-width-false", "frame-vocab-np-float"],
+    )
+    def test_grid_and_vocabulary_sizes_are_integers(self, make, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(*args)
+
+    def test_numpy_integer_sizes_are_taken(self):
+        assert build_world(np.int64(2), 3, np.int32(4), 0.5, 0).vocab == 4
+        assert random_frame(np.int64(2), 3, np.uint8(4), 0).shape == (2, 3)
 
 
 class TestRandomFrame:
@@ -474,13 +501,13 @@ class TestBatchedFrameMatchesReference:
         seen = assert_same_as_reference(world, prev, cfg, uniforms)
         assert path is None or path in seen
 
-    def test_real_stream_rollout_matches_the_reference(self, monkeypatch):
+    def test_real_stream_rollout_matches_the_reference(self):
+        # rollout no longer calls predict_frame, so it is checked against the frozen loop itself
         world = small_world(seed=21)
         prompt = random_frame(8, 8, 16, seed=22)
         cfg = SamplerConfig(0.9, 6, 0.95, 0.02, seed=23)
         shipped = rollout(world, prompt, cfg, steps=8)
-        monkeypatch.setattr(framesim, "predict_frame", reference_predict_frame)
-        assert rollout(world, prompt, cfg, steps=8).to_json_dict() == shipped.to_json_dict()
+        assert shipped.to_json_dict() == reference_rollout(world, prompt, cfg, steps=8).to_json_dict()
 
     def test_repeated_neighbor_gains_add_one_at_a_time(self):
         # Patch 0 sees token 5 twice, patch 1 token 2 three times, patch 2
@@ -525,3 +552,161 @@ class TestBatchedFrameMatchesReference:
         neighbors = stay.draw(st.lists(st.integers(0, vocab - 1), max_size=4), label="neighbors")
         got = world.conditional(token, neighbors)
         assert got.tobytes() == reference_conditional(world, token, neighbors).tobytes()
+
+
+# -- Frozen sequential sweep ------------------------------------------------------
+#
+# k_sweep as it stood before its rollouts advanced in lock-step: one rollout per
+# (k, trial), each stepping the frozen per-patch frame loop with its own stream.
+# The lock-step sweep must reproduce it bit for bit: frames and novelty.
+
+
+def reference_rollout(world, prompt, cfg, steps, stream=RandomStream, traces=None):
+    """``steps`` frames of ``reference_predict_frame`` from a stream seeded
+    with ``cfg.seed``; each patch's trace goes to ``traces`` when given."""
+    rng = stream(cfg.seed)
+    frames = [np.asarray(prompt)]
+    for _ in range(steps):
+        frame, step_traces = reference_predict_frame(world, frames[-1], cfg, rng, want_traces=traces is not None)
+        frames.append(frame)
+        if traces is not None:
+            traces.extend(step_traces)
+    novelty = np.array([np.mean(b != a) for a, b in zip(frames, frames[1:])])
+    return framesim.Rollout(frames=tuple(frames), novelty=novelty)
+
+
+def reference_k_sweep(world, prompt, base_cfg, ks, steps, trials, master_seed, stream=RandomStream, traces=None):
+    entries = []
+    for k in ks:
+        k_seed = derive_seed(master_seed, k)
+        cfgs = [replace(base_cfg, top_k=k, seed=derive_seed(k_seed, t)) for t in range(trials)]
+        entries.append((k, [reference_rollout(world, prompt, cfg, steps, stream, traces) for cfg in cfgs]))
+    return entries
+
+
+class EdgeStream:
+    """A seeded stream whose uniforms below 0.2 read 0.0 and above 0.8 the
+    largest double below 1: the ends that reach the draw clamp, which a real
+    stream almost never gives.  ``next_uniforms(n)`` still equals ``n`` calls
+    of ``next_uniform``."""
+
+    def __init__(self, seed):
+        self._rng = RandomStream(seed)
+
+    def next_uniform(self):
+        return float(self.next_uniforms(1)[0])
+
+    def next_uniforms(self, n):
+        u = self._rng.next_uniforms(n)
+        u[u < 0.2] = 0.0
+        u[u > 0.8] = BELOW_ONE
+        return u
+
+
+def assert_sweep_is_the_reference(world, prompt, base_cfg, ks, steps, trials, master_seed, *,
+                                  stream=RandomStream, cells_per_call=framesim._CELLS_PER_CALL):
+    """Lock-step and sequential sweeps agree; returns the reference's edge paths."""
+    with mock.patch.object(framesim, "RandomStream", stream), \
+            mock.patch.object(framesim, "_CELLS_PER_CALL", cells_per_call):
+        entries = k_sweep(world, prompt, base_cfg, ks, steps, trials, master_seed)
+    traces = []
+    reference = reference_k_sweep(world, prompt, base_cfg, ks, steps, trials, master_seed, stream, traces)
+    assert [k for k, _ in entries] == [k for k, _ in reference] == list(ks)
+    for (_, rolls), (_, ref_rolls) in zip(entries, reference):
+        assert len(rolls) == len(ref_rolls) == trials
+        for roll, ref in zip(rolls, ref_rolls):
+            assert len(roll.frames) == len(ref.frames) == steps + 1
+            for frame, ref_frame in zip(roll.frames, ref.frames):
+                np.testing.assert_array_equal(frame, ref_frame)
+                assert frame.dtype == np.int64 and not frame.flags.writeable
+            assert roll.novelty.tobytes() == ref.novelty.tobytes() and not roll.novelty.flags.writeable
+            assert roll.freeze_index == ref.freeze_index
+    return edge_paths(base_cfg, traces)
+
+
+@st.composite
+def sweep_cases(draw):
+    world, prev, cfg, _ = draw(frame_cases())
+    v = world.vocab
+    ks = draw(st.lists(st.integers(1, v + 2), min_size=1, max_size=4), label="ks")  # duplicates and k > V
+    trials = draw(st.integers(1, 3), label="trials")
+    cells = world.height * world.width * v
+    # The whole sweep in one call, or batches of 1 to 4 whole rollouts.
+    cells_per_call = draw(st.sampled_from([framesim._CELLS_PER_CALL, cells, 2 * cells + 1, 4 * cells]))
+    stream = draw(st.sampled_from([RandomStream, EdgeStream]))
+    return world, prev, cfg, ks, draw(st.integers(1, 4), label="steps"), trials, cells_per_call, stream
+
+
+class TestLockStepSweepMatchesReference:
+    """k_sweep against the frozen sequential sweep: exact frames and novelty."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_cases(), st.integers(0, 2**64 - 1))
+    def test_same_frames_and_novelty(self, case, master_seed):
+        world, prev, cfg, ks, steps, trials, cells_per_call, stream = case
+        assert_sweep_is_the_reference(world, prev, cfg, ks, steps, trials, master_seed, stream=stream,
+                                      cells_per_call=cells_per_call)
+
+    @pytest.mark.parametrize(
+        "shape, vocab, stay_mass, seed, prompt, cfg, ks, stream, batch, paths",
+        [
+            # duplicate k and k past the vocabulary
+            ((8, 8), 16, 0.9, 3, None, SamplerConfig(1.0, 1), [4, 4, 16, 40], RandomStream, None,
+             {"top-p past the end"}),
+            # argmax mode: every rollout stays on its prompt and takes no uniform
+            ((3, 4), 16, 0.9, 5, None, SamplerConfig(0.0, 1, 0.9, 0.1), [1, 16], RandomStream, None, {"argmax"}),
+            # a huge temperature ties every mass; min-p keeps token 0 alone beside k = 1 rows that keep theirs
+            ((2, 3), 6, 0.5, 8, None, SamplerConfig(1e300, 1, 1.0, 0.6), [1, 3, 6], RandomStream, None,
+             {"min-p fallback"}),
+            # renormalizing after top-p ties the stay token with a lower index
+            ((1, 3), 5, 0.8, 299, [[4, 1, 1]], SamplerConfig(1e16, 1, 0.5, 0.6), [5, 2], RandomStream, None,
+             {"min-p fallback", "min-p fallback off position 0"}),
+            # uniforms at the largest double below 1 draw the highest surviving index
+            ((8, 8), 16, 0.9, 3, None, SamplerConfig(1.0, 1), [16, 4], EdgeStream, None, {"draw clamp"}),
+            # 1xW and Hx1 grids, 9 rollouts in batches of 2 and a last one of 1
+            ((1, 7), 3, 0.5, 2, None, SamplerConfig(2.0, 1, 0.9, 0.05), [2, 3, 9], RandomStream, 2, None),
+            ((6, 1), 4, 0.4, 4, None, SamplerConfig(0.5, 1, 0.8, 0.2), [1, 3, 4], EdgeStream, 2, None),
+        ],
+        ids=["duplicate-k-and-k-past-v", "argmax", "min-p-fallback", "min-p-fallback-off-0", "draw-clamp",
+             "1xW-batches", "Hx1-batches"],
+    )
+    def test_edge_paths(self, shape, vocab, stay_mass, seed, prompt, cfg, ks, stream, batch, paths):
+        world = build_world(*shape, vocab, stay_mass, seed=seed)
+        prompt = random_frame(*shape, vocab, seed=seed) if prompt is None else np.array(prompt)
+        cells = framesim._CELLS_PER_CALL if batch is None else batch * shape[0] * shape[1] * vocab
+        seen = assert_sweep_is_the_reference(world, prompt, cfg, ks, 6, 3, seed, stream=stream, cells_per_call=cells)
+        assert paths is None or paths <= seen
+
+    def test_one_sampling_call_holds_at_most_2_20_cells(self, monkeypatch):
+        # 1,024 (patch, token) cells per rollout step, so 1,028 rollouts run as a
+        # batch of 1,024 and a batch of 4; one call for all would hold 2^20 + 4,096
+        calls = []
+        sample_rows = framesim.sample_rows
+
+        def recording(z, *args, **kwargs):
+            calls.append(z.shape)
+            return sample_rows(z, *args, **kwargs)
+
+        monkeypatch.setattr(framesim, "sample_rows", recording)
+        world = build_world(2, 2, 256, 0.5, seed=17)
+        prompt = random_frame(2, 2, 256, seed=18)
+        assert_sweep_is_the_reference(world, prompt, SamplerConfig(1.0, 1, 0.95, 0.001), [1, 3, 256, 300], 2, 257, 19)
+        assert max(rows * width for rows, width in calls) == framesim._CELLS_PER_CALL == 2**20
+        assert calls == [(4096, 256), (4096, 256), (16, 256), (16, 256)]
+
+    def test_rollout_and_predict_frame_are_the_one_rollout_case(self, monkeypatch):
+        calls = []
+        step = framesim._step
+
+        def recording(world, prev, *args, **kwargs):
+            calls.append(prev.shape)
+            return step(world, prev, *args, **kwargs)
+
+        monkeypatch.setattr(framesim, "_step", recording)
+        world = small_world(seed=24)
+        prompt = random_frame(8, 8, 16, seed=25)
+        cfg = SamplerConfig(1.0, 5, seed=26)
+        roll = rollout(world, prompt, cfg, steps=3)
+        frame, _ = predict_frame(world, prompt, cfg, RandomStream(26))
+        np.testing.assert_array_equal(frame, roll.frames[1])
+        assert calls == [(1, 8, 8)] * 4

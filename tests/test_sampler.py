@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,20 @@ class TestSamplerConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             SamplerConfig(**base)
+
+    @pytest.mark.parametrize("name", ["temperature", "top_p", "min_p"])
+    @pytest.mark.parametrize("flag", [True, False, np.True_], ids=["true", "false", "np-true"])
+    def test_a_float_knob_refuses_a_bool(self, name, flag):
+        # SamplerConfig(True, 1, True, False) sampled as T = 1, top_p = 1, min_p = 0
+        base = dict(temperature=1.0, top_k=5, top_p=0.9, min_p=0.1)
+        base[name] = flag
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a number (got {flag!r})')}$"):
+            SamplerConfig(**base)
+
+    def test_integer_and_numpy_float_knobs_are_taken(self):
+        assert SamplerConfig(1, 3, 1, 0).shorthand() == "(1, 3, 1, 0)"
+        cfg = SamplerConfig(np.float32(0.5), 3, np.float64(0.9), np.float16(0.0))
+        assert (cfg.temperature, cfg.top_p, cfg.min_p) == (0.5, 0.9, 0.0)
 
 
 class TestRandomStream:
@@ -771,6 +786,61 @@ class TestSampleRowsMatchesPipeline:
         stream = ScriptedStream(uniforms.tolist())
         assert tokens.tolist() == [run_pipeline(row, cfg, stream)[0] for row in z]
         assert [t.drawn_uniform for t in traces] == uniforms.tolist()
+
+
+class TestPerRowTopK:
+    """sample_rows with a k per row against one-row calls under each row's own config."""
+
+    @staticmethod
+    def _check(z, cfg, uniforms, ks):
+        u = None if cfg.temperature == 0.0 else np.array(uniforms)
+        with np.errstate(over="ignore"):
+            tokens, traces = sample_rows(z, cfg, u, top_k=ks)
+            bare, _ = sample_rows(z, cfg, u, top_k=ks, want_traces=False)
+            for i, row in enumerate(z):
+                alone = replace(cfg, top_k=int(ks[i]))
+                one, one_traces = sample_rows(row[None], alone, None if u is None else u[i:i + 1])
+                assert tokens[i] == bare[i] == one[0]
+                assert traces[i].to_json() == one_traces[0].to_json()
+        return traces
+
+    @settings(max_examples=300)
+    @given(differential_matrices, differential_configs, st.data())
+    def test_each_row_samples_under_its_own_k(self, z, cfg, data):
+        n, size = z.shape
+        ks = data.draw(st.lists(st.integers(1, size + 3), min_size=n, max_size=n), label="ks")  # k > D too
+        uniforms = data.draw(st.lists(_uniform, min_size=n, max_size=n), label="uniforms")
+        dtype = data.draw(st.sampled_from([np.int64, np.int32, np.uint8, np.uint64]), label="dtype")
+        self._check(z, cfg, uniforms, np.array(ks, dtype=dtype))
+
+    def test_one_call_cuts_rows_to_their_own_lengths(self):
+        # rows of one logit vector under k = 1, 3, 3, 12 and 40: two rows share a top-k
+        # length, the last two keep all 12, and min-p cuts those two further
+        z = np.tile(np.linspace(2.0, -2.0, 12), (5, 1))
+        traces = self._check(z, SamplerConfig(1.0, 7, 1.0, 0.05), [0.1, 0.5, BELOW_ONE, 0.3, 0.9],
+                             np.array([1, 3, 3, 12, 40]))
+        assert [[s.survivor_count for s in t.stages[1:]] for t in traces] == [
+            [1, 1, 1], [3, 3, 3], [3, 3, 3], [12, 12, 6], [12, 12, 6]]
+
+    @pytest.mark.parametrize(
+        "ks, message",
+        [
+            (np.array([3, 3]), "per-row top_k for 3 rows must have shape (3,) (got (2,))"),
+            (np.array([[3, 3, 3]]), "per-row top_k for 3 rows must have shape (3,) (got (1, 3))"),
+            (np.array(3), "per-row top_k for 3 rows must have shape (3,) (got ())"),
+            (np.array([3.0, 3.0, 3.0]), "per-row top_k must hold integers (got dtype float64)"),
+            (np.array([True, True, True]), "per-row top_k must hold integers (got dtype bool)"),
+            (np.array([3, 0, -1]), "the top_k of row 1 must satisfy k >= 1 (got 0)"),
+            (np.array([3, 2, -1]), "the top_k of row 2 must satisfy k >= 1 (got -1)"),
+            (np.array([0, 1, 1], dtype=np.uint8), "the top_k of row 0 must satisfy k >= 1 (got 0)"),
+        ],
+        ids=["short", "2-d", "scalar", "float", "bool", "zero-at-row-1", "negative-at-row-2", "unsigned-zero"],
+    )
+    def test_refuses_what_no_config_could_hold(self, ks, message):
+        z = np.array([[1.0, 2.0, 3.0]] * 3)
+        for cfg in (SamplerConfig(1.0, 3), SamplerConfig(0.0, 3)):  # argmax mode checks them too
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                sample_rows(z, cfg, None if cfg.temperature == 0.0 else np.full(3, 0.5), top_k=ks)
 
 
 class TestTraceReaderTakesWhatThePipelineWrites:
