@@ -44,11 +44,9 @@ from .probcore import (
     TokenAlphabet,
     argmax_onehot,
     as_logits,
-    cross_entropy,
     default_alphabet,
     entropy,
     logits_from_masses,
-    renormalize,
     softmax,
 )
 from .sampler import (
@@ -62,7 +60,6 @@ from .sampler import (
     SamplerConfig,
     StageRecord,
     derive_seed,
-    draw,
     min_p_filter,
     run_pipeline,
     sample_rows,
@@ -100,11 +97,9 @@ __all__ = [
     "argmax_onehot",
     "as_logits",
     "build_world",
-    "cross_entropy",
     "default_alphabet",
     "derive_seed",
     "detokenize",
-    "draw",
     "entropy",
     "frame_to_pgm",
     "generate",
@@ -114,7 +109,6 @@ __all__ = [
     "novelty_curve",
     "predict_frame",
     "random_frame",
-    "renormalize",
     "replay",
     "rollout",
     "run_pipeline",

@@ -72,15 +72,13 @@ class GenerationResult:
     traces: tuple[SampleTrace, ...]
     stop_reason: str
 
-    def to_json_dict(self, alphabet: TokenAlphabet, include_traces: bool = False) -> dict:
-        doc = {
+    def to_json_dict(self, alphabet: TokenAlphabet) -> dict:
+        return {
             "prompt": detokenize(self.prompt_tokens, alphabet),
             "output": detokenize(self.output_tokens, alphabet),
             "stop_reason": self.stop_reason,
+            "traces": [t.to_json_dict() for t in self.traces],
         }
-        if include_traces:
-            doc["traces"] = [t.to_json_dict() for t in self.traces]
-        return doc
 
 
 def generate(

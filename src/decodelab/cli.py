@@ -221,7 +221,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         print(detokenize(result.output_tokens, model.alphabet))
         if p["trace_out"] is not None:
             doc = {"format": "decodelab-generation", "format_version": 1}
-            doc.update(result.to_json_dict(model.alphabet, include_traces=True))
+            doc.update(result.to_json_dict(model.alphabet))
             Path(p["trace_out"]).write_text(jsonvalues.dumps(doc) + "\n", encoding="utf-8")
     return EXIT_OK
 

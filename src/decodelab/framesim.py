@@ -49,6 +49,7 @@ from .sampler import (
     SampleTrace,
     SamplerConfig,
     _check_int,
+    _check_real,
     _check_seed,
     derive_seed,
     run_pipeline,  # noqa: F401  (re-exported: perfbench's tracer wraps framesim.run_pipeline)
@@ -89,12 +90,13 @@ class WorldModel:
         ``stay`` is the patch's token in the previous frame; ``neighbors``
         are the previous-frame tokens of its in-grid 4-neighborhood (0 to 4
         values: a 1x1 grid has none, a 1xW grid two at most).  The result
-        sums to one and its argmax is ``stay``.
+        sums to one and its argmax is ``stay``.  Every token must be an
+        integer (not a float or a bool) in ``0 .. vocab - 1``.
         """
         v = self.vocab
-        if not 0 <= stay < v:
+        if not 0 <= _check_int(stay, "stay token") < v:
             raise ValueError(f"stay token {stay} outside vocabulary of size {v}")
-        tokens = np.array([int(t) for t in neighbors])  # object dtype past int64, still comparable
+        tokens = np.array([_check_int(t, "neighbor token") for t in neighbors])  # object dtype past int64
         outside = (tokens < 0) | (tokens >= v)
         if outside.any():
             raise ValueError(f"neighbor token {tokens[outside][0]} outside vocabulary of size {v}")
@@ -145,19 +147,23 @@ def build_world(
     ``stay_mass`` must exceed ``1/vocab`` so "stay" can strictly dominate
     every other mass, and be below 1 so the rest of the vocabulary keeps
     positive probability.  The grid sizes and the vocabulary size must be
-    integers, not floats or bools that ``int()`` would truncate.
+    integers, not floats or bools that ``int()`` would truncate;
+    ``stay_mass`` and ``neighbor_gain`` must be numbers, not bools, and
+    ``neighbor_gain`` finite and non-negative.
     """
     height, width, vocab = _check_int(height, "height"), _check_int(width, "width"), _check_int(vocab, "vocab")
     if height < 1 or width < 1:
         raise ValueError(f"grid must be at least 1x1 (got {height}x{width})")
     if vocab < 2:
         raise ValueError(f"vocabulary must hold at least 2 tokens (got {vocab})")
+    _check_real(stay_mass, "stay_mass")
+    _check_real(neighbor_gain, "neighbor_gain")
     if not 1.0 / vocab < stay_mass < 1.0:
         raise ValueError(
             f"stay_mass must satisfy 1/vocab < stay_mass < 1 (got {stay_mass!r} with vocab {vocab})"
         )
-    if neighbor_gain < 0:
-        raise ValueError(f"neighbor_gain must be >= 0 (got {neighbor_gain!r})")
+    if not np.isfinite(neighbor_gain) or neighbor_gain < 0:
+        raise ValueError(f"neighbor_gain must be finite and >= 0 (got {neighbor_gain!r})")
     seed = _check_seed(seed)
     gen = np.random.Generator(np.random.Philox(seed))
     bias = gen.uniform(-1.0, 1.0, size=vocab)
@@ -226,19 +232,16 @@ def predict_frame(
     prev: FrameGrid,
     cfg: SamplerConfig,
     rng: RandomStream,
-    *,
-    want_traces: bool = True,
-) -> tuple[FrameGrid, tuple[SampleTrace, ...] | None]:
+) -> tuple[FrameGrid, tuple[SampleTrace, ...]]:
     """Sample the next frame: every patch through the sampling pipeline.
 
     Each patch is drawn independently from its own conditional given the
     previous frame, all in one batched pass that consumes one uniform per
     patch in row-major order from the shared stream (none in argmax mode).
-    Returns the new frame and (unless ``want_traces=False``) one trace per
-    patch in the same order.
+    Returns the new frame and one trace per patch in the same order.
     """
     prev = _check_frame(world, prev)
-    frames, traces = _step(world, prev[None], cfg, None, [rng], want_traces=want_traces)
+    frames, traces = _step(world, prev[None], cfg, None, [rng], want_traces=True)
     out = frames[0]
     out.flags.writeable = False
     return out, traces
@@ -267,13 +270,6 @@ class Rollout:
     @property
     def mean_novelty(self) -> float:
         return float(self.novelty.mean())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "frames": [f.tolist() for f in self.frames],
-            "novelty": self.novelty.tolist(),
-            "freeze_index": self.freeze_index,
-        }
 
 
 def _freeze_index(novelty: np.ndarray) -> int | None:

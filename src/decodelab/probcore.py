@@ -1,13 +1,14 @@
 """Probability primitives for discrete token distributions.
 
 Everything downstream (the staged sampler, the text and frame generators)
-is built on the five operations in this module: temperature softmax, argmax
-decoding, Shannon entropy, renormalization of truncated survivor sets, and
-one-hot cross-entropy.
+is built on the validated distribution and the three operations in this
+module: temperature softmax, argmax decoding and Shannon entropy.  The
+truncation stages in :mod:`decodelab.sampler` renormalize their own survivor
+sets.
 
 Conventions used throughout the package:
 
-* All logarithms are natural, so entropies and cross-entropies are in nats.
+* All logarithms are natural, so entropies are in nats.
 * A distribution may cover only a *subset* of the token alphabet (a survivor
   set after truncation); ``index_map`` records the original token index of
   each retained mass.
@@ -151,10 +152,6 @@ class ProbabilityDistribution:
     def __len__(self) -> int:
         return int(self.masses.size)
 
-    def restored(self) -> "ProbabilityDistribution":
-        """The same survivor set reordered to ascending original token index."""
-        return ProbabilityDistribution._unchecked(*by_token_index(self.masses, self.index_map))
-
     def dense(self, size: int) -> np.ndarray:
         """Expand to a length-``size`` vector with zeros on pruned tokens."""
         if size < int(self.index_map.max()) + 1:
@@ -218,27 +215,6 @@ def entropy(dist: ProbabilityDistribution) -> float:
     return float(-terms.sum())
 
 
-def renormalize(
-    masses: Sequence[float] | np.ndarray,
-    index_map: Sequence[int] | np.ndarray | None = None,
-) -> ProbabilityDistribution:
-    """Divide survivor masses by their total so they sum to one again.
-
-    ``index_map`` is carried through unchanged (defaults to 0..n-1).
-    Raises ValueError on an empty or all-zero survivor set; the sampling
-    pipeline can never produce one (see the survivor guarantee).
-    """
-    m = np.asarray(masses, dtype=np.float64)
-    if m.ndim != 1 or m.size == 0:
-        raise ValueError("survivor set must hold at least one mass")
-    if np.any(m < 0):
-        raise ValueError("masses must be non-negative")
-    total = float(m.sum())
-    if total <= 0.0:
-        raise ValueError("degenerate survivor set: no strictly positive mass to renormalize")
-    return ProbabilityDistribution(m / total, index_map)
-
-
 def logits_from_masses(masses: Sequence[float] | np.ndarray) -> np.ndarray:
     """Log of a mass vector, floored at :data:`LOGIT_FLOOR` so entries stay finite.
 
@@ -246,21 +222,3 @@ def logits_from_masses(masses: Sequence[float] | np.ndarray) -> np.ndarray:
     within 1e-9 even when ``p`` contains exact zeros.
     """
     return np.log(np.maximum(np.asarray(masses, dtype=np.float64), LOGIT_FLOOR))
-
-
-def cross_entropy(dist: ProbabilityDistribution, target_index: TokenId) -> float:
-    """Cross-entropy ``-ln P[target]`` against a one-hot target, in nats.
-
-    Because the target is one-hot, this equals the KL divergence from the
-    target to ``dist``.  A pruned or zero-mass target yields ``float('inf')``
-    (a documented sentinel so diagnostic sweeps never abort).
-    """
-    if target_index < 0:
-        raise ValueError(f"target index must be non-negative (got {target_index})")
-    pos = np.flatnonzero(dist.index_map == target_index)
-    if pos.size == 0:
-        return float("inf")
-    p = float(dist.masses[pos[0]])
-    if p <= 0.0:
-        return float("inf")
-    return float(-np.log(p))

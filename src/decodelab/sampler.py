@@ -182,15 +182,6 @@ class StageRecord(ProbabilityDistribution):
     def survivor_count(self) -> int:
         return self.masses.size
 
-    def distribution(self) -> ProbabilityDistribution:
-        """The recorded survivor set as a validated distribution.
-
-        Each call re-validates the masses and the index map, so this is meant
-        for checks and inspection, not for hot loops; read ``masses`` and
-        ``index_map`` directly there.
-        """
-        return ProbabilityDistribution(self.masses, self.index_map)
-
     def to_json_dict(self) -> dict:
         return {
             "stage": self.stage,
@@ -371,16 +362,6 @@ def _inverse_cdf(masses: np.ndarray, index_map: np.ndarray, u: float) -> TokenId
     if pos >= cum.size:  # u beyond a rounded-down total
         pos = cum.size - 1
     return int(index_map[pos])
-
-
-def draw(dist: ProbabilityDistribution, rng: RandomStream) -> TokenId:
-    """Inverse-CDF draw from a normalized survivor set.
-
-    Entries are resorted to ascending original token index before the
-    cumulative summation; exactly one uniform is consumed per draw, so the
-    outcome is fully determined by the stream's seed and position.
-    """
-    return _inverse_cdf(dist.masses, dist.index_map, rng.next_uniform())
 
 
 # Hot-path constructors for the frozen trace dataclasses: the kernel passes

@@ -108,8 +108,8 @@ class TestGenerate:
         cfg = SamplerConfig(1.0, 40, 1.0, 0.0, seed=5)
         r1 = generate(model, cfg, tokenize("the cat sat"), max_len=1, capacity=2)
         r2 = generate(model, cfg, tokenize("on the mat"), max_len=1, capacity=2)
-        d1 = r1.traces[0].final.distribution().dense(40)
-        d2 = r2.traces[0].final.distribution().dense(40)
+        d1 = r1.traces[0].final.dense(40)
+        d2 = r2.traces[0].final.dense(40)
         np.testing.assert_array_equal(d1, d2)
         assert r1.output_tokens == r2.output_tokens
 
@@ -117,8 +117,8 @@ class TestGenerate:
         model = train_ngram(tokenize("aa bb"), order=2, alpha=0.1)
         r_a = generate(model, NEUTRAL, (c, a), max_len=1)
         r_b = generate(model, NEUTRAL, (c, b), max_len=1)
-        d_a = r_a.traces[0].final.distribution().dense(40)
-        d_b = r_b.traces[0].final.distribution().dense(40)
+        d_a = r_a.traces[0].final.dense(40)
+        d_b = r_b.traces[0].final.dense(40)
         assert not np.allclose(d_a, d_b)
 
     def test_prompt_longer_than_capacity_keeps_suffix(self):
@@ -150,11 +150,12 @@ class TestResultSerialization:
         model = train_ngram(tokenize("abab"), order=2, alpha=0.0)
         result = generate(model, K1, tokenize("a"), max_len=3)
         doc = result.to_json_dict(A)
-        assert doc == {"prompt": "a", "output": "bab", "stop_reason": "max_len"}
+        assert doc == {"prompt": "a", "output": "bab", "stop_reason": "max_len",
+                       "traces": [t.to_json_dict() for t in result.traces]}
 
     def test_traces_embed_on_request(self):
         model = train_ngram(tokenize("abab"), order=2, alpha=0.0)
         result = generate(model, K1, tokenize("a"), max_len=2)
-        doc = result.to_json_dict(A, include_traces=True)
+        doc = result.to_json_dict(A)
         assert len(doc["traces"]) == 2
         assert doc["traces"][0]["drawn_token"] == b

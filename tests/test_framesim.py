@@ -1,6 +1,7 @@
 """Patch-token frame world: mode-at-stay conditionals, rollouts, freeze, novelty."""
 
 import itertools
+import math
 import re
 from dataclasses import replace
 from unittest import mock
@@ -112,6 +113,36 @@ class TestBuildWorld:
         assert build_world(np.int64(2), 3, np.int32(4), 0.5, 0).vocab == 4
         assert random_frame(np.int64(2), 3, np.uint8(4), 0).shape == (2, 3)
 
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            # NaN and inf built a world whose first rollout failed with "logits must be finite"
+            ({"neighbor_gain": math.nan}, "neighbor_gain must be finite and >= 0 (got nan)"),
+            ({"neighbor_gain": math.inf}, "neighbor_gain must be finite and >= 0 (got inf)"),
+            ({"neighbor_gain": -math.inf}, "neighbor_gain must be finite and >= 0 (got -inf)"),
+            # a bool reads as 1 or 0
+            ({"neighbor_gain": True}, "neighbor_gain must be a number (got True)"),
+            ({"stay_mass": True}, "stay_mass must be a number (got True)"),
+        ],
+        ids=["gain-nan", "gain-inf", "gain-minus-inf", "gain-true", "stay-mass-true"],
+    )
+    def test_stay_mass_and_neighbor_gain_are_finite_numbers(self, knobs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_world(**{"height": 2, "width": 2, "vocab": 4, "stay_mass": 0.5, "seed": 0, **knobs})
+
+    @pytest.mark.parametrize(
+        "stay, neighbors, message",
+        [
+            (2.0, [1], "stay token must be an integer (got 2.0)"),  # was an IndexError
+            (True, [1], "stay token must be an integer (got True)"),  # was token 1
+            (1, [1.5], "neighbor token must be an integer (got 1.5)"),  # was truncated to token 1
+        ],
+        ids=["stay-float", "stay-true", "neighbor-float"],
+    )
+    def test_conditional_tokens_are_integers(self, stay, neighbors, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_world(2, 2, 4, 0.5, seed=0).conditional(stay, neighbors)
+
 
 class TestRandomFrame:
     def test_shape_range_and_determinism(self):
@@ -140,7 +171,7 @@ class TestPredictFrame:
         changed = 0
         trials = 60
         for _ in range(trials):
-            nxt, _ = predict_frame(w, prev, cfg, rng, want_traces=False)
+            nxt, _ = predict_frame(w, prev, cfg, rng)
             changed += int((nxt != prev).sum())
         mean_novelty = changed / (64.0 * trials)
         assert abs(mean_novelty - 0.1) <= 0.02
@@ -149,8 +180,8 @@ class TestPredictFrame:
         w = small_world()
         prev = random_frame(8, 8, 16, seed=3)
         cfg = SamplerConfig(1.0, 16, 1.0, 0.0, seed=5)
-        n1, _ = predict_frame(w, prev, cfg, RandomStream(5), want_traces=False)
-        n2, _ = predict_frame(w, prev, cfg, RandomStream(5), want_traces=False)
+        n1, _ = predict_frame(w, prev, cfg, RandomStream(5))
+        n2, _ = predict_frame(w, prev, cfg, RandomStream(5))
         np.testing.assert_array_equal(n1, n2)
 
     def test_dimension_mismatch_rejected(self):
@@ -257,20 +288,7 @@ class TestRollout:
         w = small_world()
         prompt = random_frame(8, 8, 16, seed=7)
         cfg = SamplerConfig(1.0, 4, 0.95, 0.0, seed=12)
-        r1 = rollout(w, prompt, cfg, steps=6)
-        r2 = rollout(w, prompt, cfg, steps=6)
-        assert r1.to_json_dict() == r2.to_json_dict()
-
-    def test_json_document_shape(self):
-        w = small_world()
-        roll = rollout(w, random_frame(8, 8, 16, seed=8), K1, steps=2)
-        doc = roll.to_json_dict()
-        assert len(doc["frames"]) == 3
-        assert len(doc["frames"][0]) == 8
-        assert len(doc["frames"][0][0]) == 8
-        assert all(isinstance(t, int) for t in doc["frames"][0][0])
-        assert doc["novelty"] == [0.0, 0.0]
-        assert doc["freeze_index"] == 1
+        assert_same_rollout(rollout(w, prompt, cfg, steps=6), rollout(w, prompt, cfg, steps=6), steps=6)
 
 
 class TestKSweepAndNoveltyCurve:
@@ -428,20 +446,23 @@ def edge_paths(cfg, traces):
 
 
 def assert_same_as_reference(world, prev, cfg, uniforms):
-    """Batched and reference frame steps agree; returns the reference's edge paths."""
-    for want_traces in (False, True):
-        ours_rng, ref_rng = ScriptedStream(uniforms), ScriptedStream(uniforms)
-        frame, traces = predict_frame(world, prev, cfg, ours_rng, want_traces=want_traces)
-        ref_frame, ref_traces = reference_predict_frame(world, prev, cfg, ref_rng, want_traces=want_traces)
-        np.testing.assert_array_equal(frame, ref_frame)
-        assert frame.dtype == np.int64 and not frame.flags.writeable
-        assert ours_rng.position == ref_rng.position == (0 if cfg.temperature == 0.0 else prev.size)
-        if want_traces:
-            assert [t.to_json() for t in traces] == [t.to_json() for t in ref_traces]
-            assert all(not s.masses.flags.writeable and not s.index_map.flags.writeable
-                       for t in traces for s in t.stages)
-        else:
-            assert traces is None and ref_traces is None
+    """Batched and reference frame steps agree; returns the reference's edge paths.
+
+    ``predict_frame`` is the traced step; rollouts take the untraced one, which
+    must draw the same frame from the same uniforms."""
+    ours_rng, ref_rng = ScriptedStream(uniforms), ScriptedStream(uniforms)
+    frame, traces = predict_frame(world, prev, cfg, ours_rng)
+    ref_frame, ref_traces = reference_predict_frame(world, prev, cfg, ref_rng)
+    np.testing.assert_array_equal(frame, ref_frame)
+    assert frame.dtype == np.int64 and not frame.flags.writeable
+    assert ours_rng.position == ref_rng.position == (0 if cfg.temperature == 0.0 else prev.size)
+    assert [t.to_json() for t in traces] == [t.to_json() for t in ref_traces]
+    assert all(not s.masses.flags.writeable and not s.index_map.flags.writeable for t in traces for s in t.stages)
+    bare_rng = ScriptedStream(uniforms)
+    bare, no_traces = framesim._step(world, np.asarray(prev, dtype=np.int64)[None], cfg, None, [bare_rng],
+                                     want_traces=False)
+    np.testing.assert_array_equal(bare[0], ref_frame)
+    assert no_traces is None and bare_rng.position == ref_rng.position
     return edge_paths(cfg, ref_traces)
 
 
@@ -507,7 +528,7 @@ class TestBatchedFrameMatchesReference:
         prompt = random_frame(8, 8, 16, seed=22)
         cfg = SamplerConfig(0.9, 6, 0.95, 0.02, seed=23)
         shipped = rollout(world, prompt, cfg, steps=8)
-        assert shipped.to_json_dict() == reference_rollout(world, prompt, cfg, steps=8).to_json_dict()
+        assert_same_rollout(shipped, reference_rollout(world, prompt, cfg, steps=8), steps=8)
 
     def test_repeated_neighbor_gains_add_one_at_a_time(self):
         # Patch 0 sees token 5 twice, patch 1 token 2 three times, patch 2
@@ -615,13 +636,18 @@ def assert_sweep_is_the_reference(world, prompt, base_cfg, ks, steps, trials, ma
     for (_, rolls), (_, ref_rolls) in zip(entries, reference):
         assert len(rolls) == len(ref_rolls) == trials
         for roll, ref in zip(rolls, ref_rolls):
-            assert len(roll.frames) == len(ref.frames) == steps + 1
-            for frame, ref_frame in zip(roll.frames, ref.frames):
-                np.testing.assert_array_equal(frame, ref_frame)
-                assert frame.dtype == np.int64 and not frame.flags.writeable
-            assert roll.novelty.tobytes() == ref.novelty.tobytes() and not roll.novelty.flags.writeable
-            assert roll.freeze_index == ref.freeze_index
+            assert_same_rollout(roll, ref, steps)
     return edge_paths(base_cfg, traces)
+
+
+def assert_same_rollout(roll, ref, steps):
+    """``roll`` holds the frames, novelty and freeze index of ``ref``, read-only."""
+    assert len(roll.frames) == len(ref.frames) == steps + 1
+    for frame, ref_frame in zip(roll.frames, ref.frames):
+        np.testing.assert_array_equal(frame, ref_frame)
+        assert frame.dtype == np.int64 and not frame.flags.writeable
+    assert roll.novelty.tobytes() == ref.novelty.tobytes() and not roll.novelty.flags.writeable
+    assert roll.freeze_index == ref.freeze_index
 
 
 @st.composite

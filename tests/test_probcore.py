@@ -1,4 +1,4 @@
-"""Probability primitives: softmax, argmax, entropy, renormalization, cross-entropy.
+"""Probability primitives: softmax, argmax, entropy, renormalization.
 
 Frozen oracle values were computed once with 60-digit decimal arithmetic
 (noted inline); everything else is either exact by construction or a hand
@@ -19,12 +19,14 @@ from decodelab import (
     TokenAlphabet,
     argmax_onehot,
     as_logits,
-    cross_entropy,
     default_alphabet,
     entropy,
-    renormalize,
+    min_p_filter,
     softmax,
+    top_k_filter,
+    top_p_filter,
 )
+from decodelab.probcore import by_token_index
 
 finite_logits = arrays(
     np.float64,
@@ -103,9 +105,9 @@ class TestProbabilityDistribution:
 
     def test_restored_orders_by_original_index(self):
         d = ProbabilityDistribution(np.array([0.6, 0.4]), np.array([3, 1]))
-        r = d.restored()
-        np.testing.assert_array_equal(r.index_map, [1, 3])
-        np.testing.assert_allclose(r.masses, [0.4, 0.6])
+        masses, index_map = by_token_index(d.masses, d.index_map)
+        np.testing.assert_array_equal(index_map, [1, 3])
+        np.testing.assert_allclose(masses, [0.4, 0.6])
 
     @pytest.mark.parametrize(
         "build",
@@ -113,9 +115,8 @@ class TestProbabilityDistribution:
             lambda m, i: ProbabilityDistribution(m, None),
             lambda m, i: ProbabilityDistribution(m, i),
             lambda m, i: ProbabilityDistribution(m),  # a full distribution: the index map omitted
-            lambda m, i: renormalize(m, i),
         ],
-        ids=["default-index-map", "given-index-map", "full_distribution", "renormalize"],
+        ids=["default-index-map", "given-index-map", "full_distribution"],
     )
     def test_callers_arrays_stay_writeable(self, build):
         masses, index_map = np.array([0.25, 0.75]), np.array([0, 1], dtype=np.int64)
@@ -230,52 +231,23 @@ class TestEntropy:
 
 
 class TestRenormalize:
+    """Each truncation stage divides its kept prefix by that prefix's sum."""
+
     def test_exact_rational_oracle(self):
-        p = renormalize(np.array([0.4, 0.3]))
+        p = top_k_filter(ProbabilityDistribution([0.4, 0.3, 0.3]), 2)
         np.testing.assert_allclose(p.masses, [4.0 / 7.0, 3.0 / 7.0], atol=1e-12)
 
     def test_idempotent_on_normalized_input(self):
-        p = renormalize(np.array([0.25, 0.75]))
-        np.testing.assert_allclose(p.masses, [0.25, 0.75], atol=1e-12)
+        d = ProbabilityDistribution([0.75, 0.25])
+        for kept in (top_k_filter(d, 2), top_p_filter(d, 1.0), min_p_filter(d, 0.25)):
+            np.testing.assert_array_equal(kept.masses, [0.75, 0.25])
 
     def test_single_survivor(self):
-        p = renormalize(np.array([0.03]))
-        assert p.masses[0] == 1.0
+        for kept in (top_k_filter(ProbabilityDistribution([0.5, 0.3, 0.2]), 1),
+                     min_p_filter(ProbabilityDistribution([0.5, 0.3, 0.2]), 0.4)):
+            assert kept.masses[0] == 1.0
 
     def test_preserves_index_map(self):
-        p = renormalize(np.array([0.2, 0.2]), index_map=np.array([9, 4]))
+        p = top_k_filter(ProbabilityDistribution(np.array([0.4, 0.4, 0.2]), np.array([9, 4, 1])), 2)
         np.testing.assert_array_equal(p.index_map, [9, 4])
-
-    def test_degenerate_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            renormalize(np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            renormalize(np.array([]))
-        with pytest.raises(ValueError):
-            renormalize(np.array([-0.1, 0.4]))
-
-
-class TestCrossEntropy:
-    def test_matching_onehot_is_zero(self):
-        masses = np.zeros(5)
-        masses[2] = 1.0
-        assert cross_entropy(ProbabilityDistribution(masses), 2) == 0.0
-
-    def test_half_mass_gives_ln2(self):
-        assert cross_entropy(ProbabilityDistribution([0.5, 0.5]), 0) == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_zero_mass_target_gives_infinity(self):
-        assert cross_entropy(ProbabilityDistribution([1.0, 0.0]), 1) == math.inf
-
-    def test_pruned_target_gives_infinity(self):
-        d = ProbabilityDistribution(np.array([1.0]), np.array([3]))
-        assert cross_entropy(d, 0) == math.inf
-
-    def test_negative_target_rejected(self):
-        with pytest.raises(ValueError):
-            cross_entropy(ProbabilityDistribution([0.5, 0.5]), -1)
-
-    @given(finite_logits, temperatures, st.integers(min_value=0, max_value=39))
-    def test_non_negative(self, z, t, target):
-        assume(target < len(z))
-        assert cross_entropy(softmax(z, t), target) >= -1e-9
+        np.testing.assert_array_equal(p.masses, [0.5, 0.5])

@@ -23,7 +23,6 @@ from decodelab import (
     StageRecord,
     build_world,
     derive_seed,
-    draw,
     min_p_filter,
     random_frame,
     run_pipeline,
@@ -280,37 +279,42 @@ class TestMinPFilter:
         assert kept.index_map[0] == 2
 
 
+def drawn(masses, index_map, u):
+    """The token that a trace whose final stage holds ``masses`` over ``index_map`` draws at ``u``."""
+    return SampleTrace((StageRecord(masses, index_map, stage=STAGE_MIN_P),), u).drawn_token
+
+
 class TestDraw:
+    """The inverse-CDF draw, as a trace derives it and as the kernel makes it."""
+
     def test_onehot_returns_its_token_for_every_seed(self):
-        d = ProbabilityDistribution(np.array([1.0]), np.array([11]))
         for seed in range(20):
-            assert draw(d, RandomStream(seed)) == 11
+            assert drawn([1.0], [11], RandomStream(seed).next_uniform()) == 11
 
     def test_uniform_frequencies_within_binomial_bound(self):
         # 6 sigma for Binomial(100000, 0.25) is 0.0082, inside the 0.01 bar
-        d = ProbabilityDistribution([0.25] * 4)
-        rng = RandomStream(321)
-        counts = np.zeros(4)
-        for _ in range(100_000):
-            counts[draw(d, rng)] += 1
-        np.testing.assert_allclose(counts / 100_000.0, 0.25, atol=0.01)
+        u = RandomStream(321).next_uniforms(100_000)
+        tokens, _ = sample_rows(np.zeros((100_000, 4)), SamplerConfig(1.0, 4), u, want_traces=False)
+        np.testing.assert_allclose(np.bincount(tokens, minlength=4) / 100_000.0, 0.25, atol=0.01)
 
     def test_fixed_seed_fixed_distribution_is_repeatable(self):
-        d = ProbabilityDistribution([0.1, 0.2, 0.3, 0.4])
-        assert draw(d, RandomStream(99)) == draw(d, RandomStream(99))
+        masses, index_map = [0.1, 0.2, 0.3, 0.4], [0, 1, 2, 3]
+        assert drawn(masses, index_map, RandomStream(99).next_uniform()) == drawn(
+            masses, index_map, RandomStream(99).next_uniform()
+        )
 
     def test_cumulation_runs_over_original_token_order(self):
         # survivors listed out of order: the draw must resort to ascending
         # token index before the inverse-CDF walk
-        d = ProbabilityDistribution(np.array([0.6, 0.4]), np.array([5, 2]))
         u = RandomStream(7).next_uniform()
         expected = 2 if u < 0.4 else 5
-        assert draw(d, RandomStream(7)) == expected
+        assert drawn([0.6, 0.4], [5, 2], u) == expected
+        # in token order token 2 holds [0, 0.4); in listed order token 5 would hold [0, 0.6)
+        assert [drawn([0.6, 0.4], [5, 2], u) for u in (0.0, 0.3, 0.4, 0.5)] == [2, 2, 5, 5]
 
     def test_consumes_exactly_one_uniform(self):
-        d = ProbabilityDistribution([0.5, 0.5])
         rng = RandomStream(13)
-        draw(d, rng)
+        run_pipeline([0.0, 0.0], SamplerConfig(1.0, 2), rng)
         reference = RandomStream(13)
         reference.next_uniform()
         assert rng.next_uniform() == reference.next_uniform()
@@ -356,7 +360,7 @@ class TestRunPipeline:
         z = np.linspace(-2.0, 2.0, 40) ** 3 / 4.0
         cfg = SamplerConfig(1.0, 40, 1.0, 0.0, seed=3)
         _, trace = run_pipeline(z, cfg, RandomStream(cfg.seed))
-        final = trace.final.distribution().dense(40)
+        final = trace.final.dense(40)
         np.testing.assert_allclose(final, softmax(z, 1.0).masses, atol=1e-9)
 
     def test_permutation_equivariance(self):
@@ -365,8 +369,8 @@ class TestRunPipeline:
         cfg = SamplerConfig(0.9, 6, 0.9, 0.02, seed=8)
         _, t1 = run_pipeline(z, cfg, RandomStream(cfg.seed))
         _, t2 = run_pipeline(z[perm], cfg, RandomStream(cfg.seed))
-        d1 = t1.final.distribution().dense(12)
-        d2 = t2.final.distribution().dense(12)
+        d1 = t1.final.dense(12)
+        d2 = t2.final.dense(12)
         np.testing.assert_allclose(d2, d1[perm], atol=1e-12)
 
     def test_untraced_run_matches_traced_token(self):
