@@ -10,16 +10,22 @@ capacity evicts the oldest token.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
 
+from .jsonvalues import dumps, member, spell_object
 from .ngram import detokenize
 from .probcore import TokenAlphabet, TokenId
-from .sampler import RandomStream, SampleTrace, SamplerConfig, run_pipeline
+from .sampler import RandomStream, SampleTrace, SamplerConfig, run_pipeline, spell_traces
 
 #: Default context window capacity.
 DEFAULT_CAPACITY = 64
+
+#: The ``"format"`` and ``"format_version"`` of a trace file.
+FORMAT_NAME = "decodelab-generation"
+FORMAT_VERSION = 1
 
 STOP_EOS = "eos"
 STOP_MAX_LEN = "max_len"
@@ -79,6 +85,25 @@ class GenerationResult:
             "stop_reason": self.stop_reason,
             "traces": [t.to_json_dict() for t in self.traces],
         }
+
+    def save(self, path: str | Path, alphabet: TokenAlphabet) -> None:
+        """Write the trace file: the bytes of ``dumps(doc)`` and a newline,
+        where ``doc`` is :data:`FORMAT_NAME` and :data:`FORMAT_VERSION` under
+        ``"format"`` and ``"format_version"`` beside :meth:`to_json_dict`,
+        spelled straight from each trace's stage arrays."""
+        # The traces, nearly all of the file, go to it as spelled: the document
+        # around them is spelled with a NUL in their place (spelled JSON
+        # escapes every control character) and split there.
+        head, tail = spell_object([
+            member("format", dumps(FORMAT_NAME)),
+            member("format_version", dumps(FORMAT_VERSION)),
+            member("output", dumps(detokenize(self.output_tokens, alphabet))),
+            member("prompt", dumps(detokenize(self.prompt_tokens, alphabet))),
+            member("stop_reason", dumps(self.stop_reason)),
+            member("traces", "\0"),
+        ], 0).split("\0")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines((head, spell_traces(self.traces, 1), tail, "\n"))
 
 
 def generate(

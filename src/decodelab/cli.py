@@ -220,9 +220,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     with _phase("generate: write"):
         print(detokenize(result.output_tokens, model.alphabet))
         if p["trace_out"] is not None:
-            doc = {"format": "decodelab-generation", "format_version": 1}
-            doc.update(result.to_json_dict(model.alphabet))
-            Path(p["trace_out"]).write_text(jsonvalues.dumps(doc) + "\n", encoding="utf-8")
+            result.save(p["trace_out"], model.alphabet)
     return EXIT_OK
 
 

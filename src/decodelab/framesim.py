@@ -38,6 +38,7 @@ whole rollouts.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -62,6 +63,10 @@ FrameGrid = np.ndarray
 #: Fraction of the deviation budget actually used; keeps the mode and
 #: positivity invariants strict rather than marginal.
 _DEVIATION_HEADROOM = 0.9
+
+#: The largest ``neighbor_gain``, a quarter of the largest float: a token
+#: bias (at most 1 in size) plus four such gains rounds to a finite float.
+MAX_NEIGHBOR_GAIN = sys.float_info.max / 4
 
 #: The most (patch, token) cells that one sampling call of a lock-step
 #: rollout holds: the ``height * width * vocab`` that ``simulate`` allows
@@ -149,7 +154,7 @@ def build_world(
     positive probability.  The grid sizes and the vocabulary size must be
     integers, not floats or bools that ``int()`` would truncate;
     ``stay_mass`` and ``neighbor_gain`` must be numbers, not bools, and
-    ``neighbor_gain`` finite and non-negative.
+    ``neighbor_gain`` non-negative and at most :data:`MAX_NEIGHBOR_GAIN`.
     """
     height, width, vocab = _check_int(height, "height"), _check_int(width, "width"), _check_int(vocab, "vocab")
     if height < 1 or width < 1:
@@ -164,6 +169,9 @@ def build_world(
         )
     if not np.isfinite(neighbor_gain) or neighbor_gain < 0:
         raise ValueError(f"neighbor_gain must be finite and >= 0 (got {neighbor_gain!r})")
+    if neighbor_gain > MAX_NEIGHBOR_GAIN:
+        raise ValueError(f"neighbor_gain must be at most {MAX_NEIGHBOR_GAIN!r}, so that four neighbor adds "
+                         f"to a token bias stay finite (got {neighbor_gain!r})")
     seed = _check_seed(seed)
     gen = np.random.Generator(np.random.Philox(seed))
     bias = gen.uniform(-1.0, 1.0, size=vocab)
@@ -348,22 +356,27 @@ def k_sweep(
 
     Each rollout seed depends only on the (k, trial) pair, not on the sweep
     position, so reordering or duplicating entries in ``ks`` reproduces the
-    exact same rows and concurrent execution stays deterministic.  Every
-    config is built, and so checked, before the first rollout runs.  The
-    rollouts of every k advance in lock-step, one sampling call per step
-    for each batch of whole rollouts that fits in ``_CELLS_PER_CALL``.
+    exact same rows and concurrent execution stays deterministic; the
+    rollouts of a repeated k are sampled once and given to each of its
+    entries.  Every config is built, and so checked, before the first
+    rollout runs.  The rollouts of every distinct k advance in lock-step,
+    one sampling call per step for each batch of whole rollouts that fits
+    in ``_CELLS_PER_CALL``.
     """
     if len(ks) == 0:
         raise ValueError("k sweep needs at least one k value")
     if _check_int(trials, "trials") < 1:
         raise ValueError(f"trials must be >= 1 (got {trials})")
-    grid = []
+    checked, grid = [], {}
     for k in ks:
         k = _check_int(k, "k")
-        k_seed = derive_seed(master_seed, k)
-        grid.append((k, [replace(base_cfg, top_k=k, seed=derive_seed(k_seed, t)) for t in range(trials)]))
-    rolls = iter(_rollouts(world, prompt_frame, [c for _, cfgs in grid for c in cfgs], steps))
-    return [(k, [next(rolls) for _ in cfgs]) for k, cfgs in grid]
+        checked.append(k)
+        if k not in grid:  # a repeated k has the same seeds, so the same rollouts
+            k_seed = derive_seed(master_seed, k)
+            grid[k] = [replace(base_cfg, top_k=k, seed=derive_seed(k_seed, t)) for t in range(trials)]
+    rolls = iter(_rollouts(world, prompt_frame, [c for cfgs in grid.values() for c in cfgs], steps))
+    by_k = {k: [next(rolls) for _ in cfgs] for k, cfgs in grid.items()}
+    return [(k, list(by_k[k])) for k in checked]
 
 
 def novelty_curve(entries: Sequence[tuple[int, Sequence[Rollout]]]) -> list[tuple[int, float]]:

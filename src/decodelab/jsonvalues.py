@@ -1,6 +1,9 @@
 """What a JSON value is and how it is spelled: the model loader, the trace
 reader and the config reader check their fields here, so each refusal is
-worded alike, and the model and trace files are written here by :func:`dumps`.
+worded alike, and every JSON text is spelled here: :func:`dumps` spells a
+whole value, and the model and trace writers build their files from
+:func:`member`, :func:`spell_object` and :func:`spell_array`, so the indent
+and the separators are decided in this module alone.
 
 A kind is the set of Python types that ``json.loads`` gives for it, matched
 exactly, so a bool is never an integer or a number.  A number comes back as
@@ -75,6 +78,50 @@ class _FloatSpellings(dict):
 _CONSTANTS = {True: "true", False: "false", None: "null"}
 
 
+def member(key: str, spelled: str) -> str:
+    """One member of an object, ``"key": value``, from its key and its value
+    already spelled."""
+    return _spell_str(key) + ": " + spelled
+
+
+def spell_object(members: list[str], depth: int) -> str:
+    """The object whose members, each spelled by :func:`member` and given in
+    key order, sit one level below ``depth``, the nesting level of the line
+    that holds the object."""
+    if not members:
+        return "{}"
+    opening, separator, closing = _OBJECT[depth]
+    return opening + separator.join(members) + closing
+
+
+def spell_array(items: list[str], depth: int) -> str:
+    """The array of ``items``, each already spelled, at nesting level ``depth``."""
+    if not items:
+        return "[]"
+    opening, separator, closing = _ARRAY[depth]
+    return opening + separator.join(items) + closing
+
+
+class _Brackets(dict):
+    """``(opening, separator, closing)`` of a block at each depth: the bracket
+    and line break before its first part, the comma and line break between
+    parts, and the line break and bracket after the last part."""
+
+    __slots__ = ("pair",)
+
+    def __init__(self, pair: str):
+        super().__init__()
+        self.pair = pair
+
+    def __missing__(self, depth: int) -> tuple[str, str, str]:
+        inner = "\n" + "  " * (depth + 1)
+        spelled = self[depth] = (self.pair[0] + inner, "," + inner, inner[:-2] + self.pair[1])
+        return spelled
+
+
+_OBJECT, _ARRAY = _Brackets("{}"), _Brackets("[]")
+
+
 def dumps(x) -> str:
     """``x`` spelled exactly as ``json.dumps(x, sort_keys=True, indent=2)``
     spells it, for a dict with str keys, a list, a str, an int, a finite
@@ -84,55 +131,30 @@ def dumps(x) -> str:
     value of any other type (a tuple, a numpy scalar or a subclass of one of
     these types included), raises TypeError.
     """
-    parts: list[str] = []
-    _write(x, "\n", parts, _FloatSpellings())
-    return "".join(parts)
+    return _spell(x, 0, _FloatSpellings())
 
 
-def _write(x, newline: str, parts: list[str], floats: _FloatSpellings) -> None:
-    # ``newline`` is a line break and the indent of the line that holds ``x``.
+def _spell(x, depth: int, floats: _FloatSpellings) -> str:
     t = type(x)
     if t is str:
-        parts.append(_spell_str(x))
-    elif t is float:
-        parts.append(floats[x])
-    elif t is int:
-        parts.append(int.__repr__(x))
-    elif t is bool or x is None:
-        parts.append(_CONSTANTS[x])
-    elif t is dict:
-        if not x:
-            parts.append("{}")
-            return
-        if set(map(type, x)) != {str}:
-            key = next(k for k in x if type(k) is not str)
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-        inner = newline + "  "
-        opening = "{" + inner
-        for key in sorted(x):
-            parts.append(opening)
-            parts.append(_spell_str(key))
-            parts.append(": ")
-            _write(x[key], inner, parts, floats)
-            opening = "," + inner
-        parts.append(newline + "}")
-    elif t is list:
-        if not x:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        parts.append("[" + inner)
-        # A list of one number type is spelled in one join; a bool is never an int here.
+        return _spell_str(x)
+    if t is float:
+        return floats[x]
+    if t is int:
+        return int.__repr__(x)
+    if t is bool or x is None:
+        return _CONSTANTS[x]
+    if t is dict:
+        for k in x:
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        return spell_object([member(k, _spell(x[k], depth + 1, floats)) for k in sorted(x)], depth)
+    if t is list:
+        # A list of one number type is spelled in one map; a bool is never an int here.
         types = set(map(type, x))
         if types == {int}:
-            parts.append(("," + inner).join(map(int.__repr__, x)))
-        elif types == {float}:
-            parts.append(("," + inner).join(map(floats.__getitem__, x)))
-        else:
-            for i, v in enumerate(x):
-                if i:
-                    parts.append("," + inner)
-                _write(v, inner, parts, floats)
-        parts.append(newline + "]")
-    else:
-        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+            return spell_array(list(map(int.__repr__, x)), depth)
+        if types == {float}:
+            return spell_array(list(map(floats.__getitem__, x)), depth)
+        return spell_array([_spell(v, depth + 1, floats) for v in x], depth)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jsonvalues import INTEGER, NUMBER, OBJECT, STRING, dumps, value
+from .jsonvalues import INTEGER, NUMBER, OBJECT, STRING, dumps, member, spell_object, value
 from .probcore import TokenAlphabet, TokenId, default_alphabet, logits_from_masses
 
 FORMAT_NAME = "decodelab-ngram"
@@ -200,7 +200,23 @@ class NGramModel:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(dumps(self.to_json_dict()) + "\n", encoding="utf-8")
+        """Write the model file: the bytes of ``dumps(self.to_json_dict())``
+        and a newline, spelled straight from the count matrices."""
+        tok_keys = _token_keys(self.alphabet.size)
+        # Keys sort as strings: table "10" comes before table "2".
+        tables = [member(str(m), _spell_level(*self._levels[m - 1], tok_keys, 2))
+                  for m in sorted(range(1, self.order + 1), key=str)]
+        glyphs = [member("eos_index", dumps(self.alphabet.eos_index)),
+                  member("symbols", dumps("".join(self.alphabet.symbols)))]
+        doc = spell_object([
+            member("alpha", dumps(self.alpha)),
+            member("alphabet", spell_object(glyphs, 1)),
+            member("counts", spell_object(tables, 1)),
+            member("format", dumps(FORMAT_NAME)),
+            member("format_version", dumps(FORMAT_VERSION)),
+            member("order", dumps(self.order)),
+        ], 0)
+        Path(path).write_text(doc + "\n", encoding="utf-8")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "NGramModel":
@@ -251,6 +267,30 @@ class NGramModel:
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
         return cls.from_json_dict(doc)
+
+
+def _spell_level(contexts: list[tuple[TokenId, ...]], matrix: np.ndarray, tok_keys: list[str], depth: int) -> str:
+    """One order's count table, as ``to_json_dict`` holds it, spelled at
+    ``depth``: every context with a nonzero count, and its nonzero counts."""
+    rows, toks = np.nonzero(matrix)
+    ctx_keys = [",".join(map(tok_keys.__getitem__, c)) for c in contexts]
+    # Members go in key order, and keys sort as strings: token "10" before "2".
+    order = np.lexsort((_string_ranks(tok_keys)[toks], _string_ranks(ctx_keys)[rows]))
+    rows, toks = rows[order], toks[order]
+    heads = [member(key, "") for key in tok_keys]  # each token key spelled once
+    counts = map(int.__repr__, matrix[rows, toks].tolist())
+    cells = list(map(str.__add__, map(heads.__getitem__, toks.tolist()), counts))
+    starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
+    ends = starts[1:] + [len(cells)]
+    return spell_object([member(ctx_keys[row], spell_object(cells[s:e], depth + 1))
+                         for row, s, e in zip(rows[starts].tolist(), starts, ends)], depth)
+
+
+def _string_ranks(keys: list[str]) -> np.ndarray:
+    """The rank of each key among ``keys`` sorted as strings."""
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    return ranks
 
 
 def _parse_level(m: int, level: dict, tok_of: dict[str, TokenId]):

@@ -42,7 +42,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .jsonvalues import BOOL, INTEGER, NUMBER, NUMBER_OR_NULL, OBJECT, value, values
+from .jsonvalues import (
+    BOOL,
+    INTEGER,
+    NUMBER,
+    NUMBER_OR_NULL,
+    OBJECT,
+    _FloatSpellings,
+    dumps,
+    member,
+    spell_array,
+    spell_object,
+    value,
+    values,
+)
 from .probcore import (
     ProbabilityDistribution,
     TokenId,
@@ -218,13 +231,22 @@ class SampleTrace:
     """Per-stage instrumentation of one pipeline run.
 
     ``stages`` holds one record per executed stage in pipeline order;
-    ``drawn_uniform`` is the unit-interval value consumed by the draw (None
-    in argmax mode, which draws nothing); the rest is derived from them.  The
-    JSON rendering is the golden-vector format used by conformance tests.
+    ``drawn_uniform`` is the unit-interval value consumed by the draw, a
+    number in ``[0, 1)`` as every stream yields (None in argmax mode, which
+    draws nothing); the rest is derived from them.  The JSON rendering is
+    the golden-vector format used by conformance tests.
     """
 
     stages: tuple[StageRecord, ...]
     drawn_uniform: float | None
+
+    def __post_init__(self) -> None:
+        # The kernels' _trace skips this check: their uniforms come from a stream.
+        u = self.drawn_uniform
+        if u is not None:
+            _check_real(u, "drawn_uniform")
+            if not 0.0 <= u < 1.0:  # NaN included
+                raise ValueError(f"drawn_uniform must be in [0, 1), or None in argmax mode (got {u!r})")
 
     @property
     def final(self) -> StageRecord:
@@ -293,6 +315,27 @@ class SampleTrace:
     @classmethod
     def from_json(cls, text: str) -> "SampleTrace":
         return cls.from_json_dict(json.loads(text))
+
+
+def spell_traces(traces: Sequence[SampleTrace], depth: int) -> str:
+    """``dumps([t.to_json_dict() for t in traces])`` as it stands at nesting
+    level ``depth``, spelled straight from the stage arrays."""
+    floats = _FloatSpellings()  # one per document, as dumps keeps: the masses of a context recur
+    return spell_array([spell_object([
+        member("argmax_mode", dumps(t.argmax_mode)),
+        member("drawn_token", dumps(int(t.drawn_token))),
+        member("drawn_uniform", dumps(None if t.drawn_uniform is None else float(t.drawn_uniform))),
+        member("stages", spell_array([_spell_stage(r, depth + 3, floats) for r in t.stages], depth + 2)),
+    ], depth + 1) for t in traces], depth)
+
+
+def _spell_stage(record: StageRecord, depth: int, floats: _FloatSpellings) -> str:
+    return spell_object([
+        member("index_map", spell_array(list(map(int.__repr__, record.index_map.tolist())), depth + 1)),
+        member("masses", spell_array(list(map(floats.__getitem__, record.masses.tolist())), depth + 1)),
+        member("stage", dumps(record.stage)),
+        member("survivor_count", dumps(record.survivor_count)),
+    ], depth)
 
 
 def sort_descending(dist: ProbabilityDistribution) -> ProbabilityDistribution:
@@ -520,18 +563,25 @@ def sample_rows(
         i = int(outside.argmax())
         raise ValueError(f"the uniform of row {i} must be in [0, 1) (got {float(u[i])!r})")
 
+    # Untraced, only the tokens leave the kernel, so each stage's masses are
+    # dropped as soon as the next stage's exist.
     p = softmax_masses(z, cfg.temperature)
     # A stable sort of -p orders ties by ascending token index, as in run_pipeline.
     order = (-p).argsort(axis=1, kind="stable")
     row = np.arange(n)[:, None]
     ranked = p[row, order]
+    if not want_traces:
+        del p
     # Survivor counts after top-k, top-p and min-p; every stage's masses keep
     # the full width D, with zeros after each row's survivors.
     p1 = _cut_rows(ranked, n1, size)
+    del ranked  # p1 is ranked itself when no row is cut
     # Top-p keeps the shortest prefix whose cumulative mass reaches top_p (the
     # crossing entry included); a search past the end keeps everything.
     n2 = np.minimum(np.count_nonzero(np.add.accumulate(p1, axis=1) < cfg.top_p, axis=1) + 1, n1)
     p2 = _cut_rows(p1, n2, n1)
+    if not want_traces:
+        del p1
     index_map = order
     if cfg.min_p == 0.0:
         n3, p3 = n2, p2
@@ -551,13 +601,18 @@ def sample_rows(
             index_map[fallback, 0] = best
             n3[fallback] = 1  # its mass renormalizes to x / x = 1.0
         p3 = _cut_rows(p2, n3, n2)
+    if not want_traces:
+        del p2
 
     # The draw: survivors back in token order (other tokens hold 0.0, and
     # adding 0.0 is exact), then the first survivor whose cumulative mass
     # exceeds u; past the total, the survivor with the highest token index.
     dense = np.empty_like(p3)
     dense[row, index_map] = p3
-    tokens = np.count_nonzero(np.add.accumulate(dense, axis=1) <= u[:, None], axis=1)
+    if not want_traces:
+        del p3
+    # The cumulative sums are taken in place: the same sums, without a second array.
+    tokens = np.count_nonzero(np.add.accumulate(dense, axis=1, out=dense) <= u[:, None], axis=1)
     clamped = np.flatnonzero(tokens == size)
     if clamped.size:
         alive = ids < n3[clamped, None]
@@ -565,7 +620,7 @@ def sample_rows(
     if not want_traces:
         return tokens, None
 
-    for arr in (p, ranked, p1, p2, p3, order, index_map):
+    for arr in (p, p1, p2, p3, order, index_map):
         arr.setflags(write=False)
     traces = []
     for i in range(n):

@@ -130,6 +130,27 @@ class TestBuildWorld:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_world(**{"height": 2, "width": 2, "vocab": 4, "stay_mass": 0.5, "seed": 0, **knobs})
 
+    def test_a_gain_four_neighbor_adds_overflow_is_refused(self):
+        # 1e308 built a world whose first rollout overflowed to "logits must be finite"
+        message = (f"neighbor_gain must be at most {framesim.MAX_NEIGHBOR_GAIN!r}, so that four neighbor adds "
+                   "to a token bias stay finite (got ")
+        for gain in (1e308, np.nextafter(framesim.MAX_NEIGHBOR_GAIN, math.inf)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                build_world(2, 2, 4, 0.5, 0, neighbor_gain=gain)
+
+    def test_a_rollout_runs_at_the_largest_gain(self):
+        # the centre patch gets four adds to token 1, whose bias is the largest (0.85)
+        world = build_world(3, 3, 4, 0.5, 5, neighbor_gain=framesim.MAX_NEIGHBOR_GAIN)
+        assert world.token_bias.argmax() == 1
+        prompt = np.ones((3, 3), dtype=np.int64)
+        prompt[1, 1] = 0
+        with np.errstate(over="raise", invalid="raise"):
+            conditional = world.conditional(0, [1, 1, 1, 1])
+            roll = rollout(world, prompt, SamplerConfig(1.0, 4, seed=1), 5)
+        assert conditional.argmax() == 0 and abs(conditional.sum() - 1.0) <= 1e-12
+        assert conditional[1] > conditional[2] and conditional[1] > conditional[3]
+        assert len(roll.frames) == 6
+
     @pytest.mark.parametrize(
         "stay, neighbors, message",
         [
@@ -306,6 +327,30 @@ class TestKSweepAndNoveltyCurve:
         entries = k_sweep(w, prompt, K1, [4, 4], steps=3, trials=5, master_seed=6)
         curve = novelty_curve(entries)
         assert curve[0] == curve[1]
+
+    def test_a_repeated_k_is_sampled_once(self, monkeypatch):
+        # 8x8 patches x 5 trials: 320 rows per step for [4], and for [4, 4] too
+        rows = []
+        sample_rows = framesim.sample_rows
+
+        def recording(z, *args, **kwargs):
+            rows.append(z.shape[0])
+            return sample_rows(z, *args, **kwargs)
+
+        monkeypatch.setattr(framesim, "sample_rows", recording)
+        w = small_world()
+        prompt = random_frame(8, 8, 16, seed=10)
+        entries = k_sweep(w, prompt, K1, [4, 4], steps=3, trials=5, master_seed=6)
+        assert rows == [320] * 3
+        rows.clear()
+        mixed = k_sweep(w, prompt, K1, [4, 2, 4], steps=3, trials=5, master_seed=6)
+        assert rows == [640] * 3
+        assert [k for k, _ in mixed] == [4, 2, 4]
+        (_, once), = k_sweep(w, prompt, K1, [4], steps=3, trials=5, master_seed=6)
+        for _, rolls in entries + mixed[::2]:
+            assert len(rolls) == len(once) == 5
+            for roll, ref in zip(rolls, once):
+                np.testing.assert_array_equal(np.stack(roll.frames), np.stack(ref.frames))
 
     def test_trial_count_and_order(self):
         w = small_world()

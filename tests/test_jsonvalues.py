@@ -1,18 +1,32 @@
 """The JSON value rules the three readers share, one refusal and one wording,
-and the one writer of the model and trace files."""
+and the spelling of the model and trace files."""
 
 import json
 import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decodelab import ModelFormatError, NGramModel, RandomStream, SampleTrace, SamplerConfig, run_pipeline, tokenize
+from decodelab import (
+    ModelFormatError,
+    NGramModel,
+    RandomStream,
+    SampleTrace,
+    SamplerConfig,
+    TokenAlphabet,
+    generate,
+    run_pipeline,
+    tokenize,
+)
+from decodelab.autoregress import FORMAT_NAME, FORMAT_VERSION, STOP_EOS
 from decodelab.cli import EXIT_OK, EXIT_USAGE, main
 from decodelab.jsonvalues import dumps
 from decodelab.ngram import train_ngram
+from decodelab.sampler import STAGE_MIN_P, STAGE_TOP_P
 
 MODEL_DOC = train_ngram(tokenize("abab cab."), 2, 0.1).to_json_dict()
 TRACE_DOC = run_pipeline(np.array([3.0, 2.0, 1.0, -9.0]), SamplerConfig(1.0, 3), RandomStream(5))[1].to_json_dict()
@@ -86,7 +100,7 @@ _ints = st.one_of(st.integers(), st.integers(min_value=2**64 - 2, max_value=2**6
 #: Keys and strings with non-ASCII and control characters, quotes and backslashes.
 _text = st.one_of(st.text(), st.text(alphabet=st.sampled_from("a\x00\x1f\x7f\n\t\"\\/é€\u2028\U0001f600"), max_size=6))
 _scalars = st.one_of(st.none(), st.booleans(), _ints, _floats, _text)
-#: A list of one number type takes the writer's one-join path.
+#: A list of one number type takes the one-map path of dumps.
 _leaves = st.one_of(_scalars, st.lists(_floats, max_size=8), st.lists(_ints, max_size=8),
                     st.lists(st.sampled_from([0, 1, True, False, 1.0, -0.0, 0.0, None]), max_size=6))
 json_values = st.recursive(_leaves, lambda inner: st.one_of(st.lists(inner, max_size=5),
@@ -178,6 +192,132 @@ class TestFilesAreSpelledAsJsonDumps:
                      "--trace-out", str(trace), *flags]) == EXIT_OK
         assert trace.read_bytes() == self._doc_bytes(trace)
         assert json.loads(trace.read_bytes())["traces"]
+
+
+#: Glyphs for custom alphabets, non-ASCII ones (a BMP glyph past Latin-1 and
+#: one outside the BMP, spelled as a surrogate pair) among them.
+_GLYPHS = "abcdefghijklmnopqrstuvwxyz0123456789 .,\u00e9\u20ac\u4e2d\U0001f600"
+
+
+def _file(write) -> bytes:
+    """The bytes ``write(path)`` puts in a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        write(path)
+        return path.read_bytes()
+
+
+def _reference(doc) -> bytes:
+    return (reference_dumps(doc) + "\n").encode("utf-8")
+
+
+def _model_file(model) -> bytes:
+    text = _file(model.save)
+    assert text == _reference(model.to_json_dict())
+    return text
+
+
+def _trace_file(result, alphabet) -> bytes:
+    doc = {"format": FORMAT_NAME, "format_version": FORMAT_VERSION, **result.to_json_dict(alphabet)}
+    text = _file(lambda path: result.save(path, alphabet))
+    assert text == _reference(doc)
+    return text
+
+
+@st.composite
+def models(draw):
+    """A model trained on a random corpus over a custom alphabet, up to order 12."""
+    size = draw(st.integers(2, 14))
+    glyphs = draw(st.permutations(_GLYPHS))[:size]
+    alphabet = TokenAlphabet(tuple(glyphs), eos_index=draw(st.integers(0, size - 1)))
+    order = draw(st.integers(1, 12))
+    corpus = draw(st.lists(st.integers(0, size - 1), min_size=order, max_size=order + 40))
+    alpha = draw(st.sampled_from([0.0, -0.0, 0.1, 1.0, 1e-300, 1 / 3]))
+    return train_ngram(corpus, order, alpha, alphabet)
+
+
+class TestWritersMatchTheDictForms:
+    """``NGramModel.save`` and ``GenerationResult.save`` spell their files from
+    the arrays; the bytes are those of ``json.dumps(sort_keys=True, indent=2)``
+    of ``to_json_dict`` and a newline."""
+
+    @settings(max_examples=150)
+    @given(models(), st.data())
+    def test_model_file(self, model, data):
+        _model_file(model)
+        # The same model loaded back, with a count table emptied or a context
+        # whose table is {} added: the loader takes both, save drops the context.
+        if model.order < 2:
+            return
+        m = data.draw(st.integers(2, model.order))
+        doc = model.to_json_dict()
+        if data.draw(st.booleans()):
+            doc["counts"][str(m)] = {}
+        else:
+            ctx = data.draw(st.lists(st.integers(0, model.alphabet.size - 1), min_size=m - 1, max_size=m - 1))
+            doc["counts"][str(m)][",".join(map(str, ctx))] = {}
+        _model_file(NGramModel.from_json_dict(doc))
+
+    @settings(max_examples=150)
+    @given(models(), st.data())
+    def test_trace_file(self, model, data):
+        size = model.alphabet.size
+        cfg = SamplerConfig(
+            data.draw(st.sampled_from([0.0, 1e-3, 0.5, 1.0, 2.0])),
+            data.draw(st.integers(1, size + 2)),
+            data.draw(st.sampled_from([0.05, 0.5, 0.92, 1.0])),
+            data.draw(st.sampled_from([0.0, 0.05, 0.3, 0.9])),
+            data.draw(st.integers(0, 2**64 - 1)),
+        )
+        prompt = data.draw(st.lists(st.integers(0, size - 1), max_size=5))
+        _trace_file(generate(model, cfg, prompt, max_len=data.draw(st.integers(1, 20))), model.alphabet)
+
+    def test_keys_sort_as_strings(self):
+        # Token 10 and table 10 come before token 2 and table 2 in the file.
+        alphabet = TokenAlphabet(tuple(_GLYPHS[:14]), eos_index=13)
+        text = _model_file(train_ngram(list(range(14)) * 3, 12, 0.1, alphabet)).decode("ascii")
+        assert text.index('\n    "10": {') < text.index('\n    "2": {')
+        assert text.index('\n        "10": 3') < text.index('\n        "2": 3')
+
+    def test_an_empty_count_table_and_an_empty_context(self):
+        doc = train_ngram(tokenize("abab cab."), 3, 0.1).to_json_dict()
+        doc["counts"]["2"] = {}
+        doc["counts"]["3"]["0,0"] = {}
+        text = _model_file(NGramModel.from_json_dict(doc)).decode("ascii")
+        assert '\n    "2": {},\n' in text
+        assert '"0,0"' not in text
+        doc["counts"]["3"] = {"0,0": {}}
+        assert '\n    "3": {}\n' in _model_file(NGramModel.from_json_dict(doc)).decode("ascii")
+
+    def test_non_ascii_glyphs(self):
+        alphabet = TokenAlphabet(tuple("ab \u00e9\U0001f600"), eos_index=4)
+        model = train_ngram([0, 3, 4, 1, 2, 3, 0], 2, 0.5, alphabet)
+        text = _model_file(model).decode("ascii")
+        assert '"symbols": "ab \\u00e9\\ud83d\\ude00"' in text
+        result = generate(model, SamplerConfig(1.0, 5, seed=3), [3], max_len=12)
+        assert "\\u00e9" in _trace_file(result, alphabet).decode("ascii")
+
+    def test_argmax_traces(self):
+        model = train_ngram(tokenize("abab cab."), 2, 0.1)
+        text = _trace_file(generate(model, SamplerConfig(0.0, 3), tokenize("a"), max_len=5), model.alphabet)
+        assert text.count(b'"drawn_uniform": null') == 5
+
+    def test_an_eos_stop_after_one_token(self):
+        alphabet = TokenAlphabet(tuple("ab\u00b6"), eos_index=2)
+        model = train_ngram([0, 1, 2] * 4, 2, 0.0, alphabet)
+        result = generate(model, SamplerConfig(1.0, 3, seed=1), [1], max_len=10)
+        assert result.output_tokens == (2,) and result.stop_reason == STOP_EOS
+        _trace_file(result, alphabet)
+
+    def test_min_p_fallback_traces(self):
+        # Near-uniform conditionals over 40 tokens: no mass reaches 0.5.
+        model = train_ngram(tokenize("abc"), 2, 5.0)
+        result = generate(model, SamplerConfig(1.0, 40, 1.0, 0.5, seed=2), tokenize("a"), max_len=6)
+        for trace in result.traces:
+            top_p, min_p = trace.stages[2:]
+            assert (top_p.stage, min_p.stage) == (STAGE_TOP_P, STAGE_MIN_P)
+            assert top_p.masses.max() < 0.5 and min_p.survivor_count == 1
+        _trace_file(result, model.alphabet)
 
 
 class TestPhaseTiming:

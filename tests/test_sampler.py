@@ -552,6 +552,29 @@ class TestDerivedTraceFields:
         assert not SampleTrace(trace.stages[:1], 0.5).argmax_mode
         assert SampleTrace(trace.stages, None).argmax_mode
 
+    @pytest.mark.parametrize(
+        "u, message",
+        [
+            (1.5, r"must be in \[0, 1\), or None in argmax mode \(got 1\.5\)$"),
+            (-0.5, r"must be in \[0, 1\).* \(got -0\.5\)$"),
+            (1.0, r"must be in \[0, 1\).* \(got 1\.0\)$"),
+            (float("nan"), r"must be in \[0, 1\).* \(got nan\)$"),
+            (float("inf"), r"must be in \[0, 1\).* \(got inf\)$"),
+            ("0.5", r"must be a number \(got '0\.5'\)$"),
+            (True, r"must be a number \(got True\)$"),
+        ],
+        ids=["1.5", "-0.5", "1.0", "nan", "inf", "str", "bool"],
+    )
+    def test_a_uniform_outside_the_unit_interval_is_refused(self, u, message):
+        # 1.5 drew token 1 through the draw clamp, and -0.5 drew token 0
+        with pytest.raises(ValueError, match="^drawn_uniform " + message):
+            SampleTrace((StageRecord([0.5, 0.5], [0, 1], stage=STAGE_MIN_P),), u)
+
+    @pytest.mark.parametrize("u", [None, 0.0, 0, 0.5, np.float64(0.25), np.nextafter(1.0, 0.0)], ids=repr)
+    def test_a_uniform_in_the_unit_interval_or_none_is_taken(self, u):
+        trace = SampleTrace((StageRecord([0.5, 0.5], [0, 1], stage=STAGE_MIN_P),), u)
+        assert trace.drawn_uniform is u and trace.argmax_mode == (u is None)
+
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     def test_the_derived_token_is_the_kernels_token(self, temperature):
         # tied maxima: argmax mode and the min-p fallback both take the lowest index
