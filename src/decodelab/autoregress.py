@@ -87,9 +87,9 @@ class GenerationResult:
         }
 
     def save(self, path: str | Path, alphabet: TokenAlphabet) -> None:
-        """Write the trace file: the bytes of ``dumps(doc)`` and a newline,
-        where ``doc`` is :data:`FORMAT_NAME` and :data:`FORMAT_VERSION` under
-        ``"format"`` and ``"format_version"`` beside :meth:`to_json_dict`,
+        """Write the trace file, ``json.dumps(doc, sort_keys=True, indent=2)``
+        and a newline, ``doc`` being :meth:`to_json_dict` with :data:`FORMAT_NAME`
+        and :data:`FORMAT_VERSION` under ``"format"`` and ``"format_version"``,
         spelled straight from each trace's stage arrays."""
         # The traces, nearly all of the file, go to it as spelled: the document
         # around them is spelled with a NUL in their place (spelled JSON

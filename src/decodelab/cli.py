@@ -9,8 +9,9 @@ Each parameter is declared once, in ``_PARAMS``, with its type, default
 and help text; its flag (``--max-len``), its config-file key (``max_len``)
 and the default shown by ``--help`` all come from that one entry.  Flags
 override values from an optional JSON config file (``--config``), which in
-turn override the defaults.  A config value must have its flag's JSON kind,
-checked by ``jsonvalues`` as the model and trace readers check theirs: an
+turn override the defaults.  The file is read by ``jsonvalues.load``, as the
+model file is, and a config value must have its flag's JSON kind, checked
+by ``jsonvalues`` as the model and trace readers check theirs: an
 integer for an integer flag, any number for a float flag, a string for a
 text flag and a non-empty list of those for a grid flag.  The only
 environment variable read is ``DECODELAB_LOG`` (debug/info/warning/error),
@@ -23,7 +24,6 @@ import argparse
 import contextlib
 import csv
 import itertools
-import json
 import logging
 import os
 import sys
@@ -162,9 +162,7 @@ def _merged_params(args: argparse.Namespace, command: str) -> dict:
     params = _PARAMS[command]
     merged = {key: default for key, (_, default, _) in params.items()}
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        jsonvalues.value(doc, jsonvalues.OBJECT, "config file")
+        doc = jsonvalues.value(jsonvalues.load(args.config, "config file"), jsonvalues.OBJECT, "config file")
         unknown = sorted(set(doc) - set(params))
         if unknown:
             raise ValueError(f"config file has unknown keys for '{command}': {', '.join(unknown)}")

@@ -1,9 +1,11 @@
-"""What a JSON value is and how it is spelled: the model loader, the trace
-reader and the config reader check their fields here, so each refusal is
-worded alike, and every JSON text is spelled here: :func:`dumps` spells a
-whole value, and the model and trace writers build their files from
-:func:`member`, :func:`spell_object` and :func:`spell_array`, so the indent
-and the separators are decided in this module alone.
+"""The package's one JSON boundary.  :func:`load` reads the model and
+config files and raises the reader's own error for any file the decoder
+refuses.  The model loader, the trace reader and the config reader check
+their fields with :func:`value` and :func:`values`, so each refusal is worded
+alike, and a refusal shows a value through :func:`echo`, cut short.  The
+model and trace writers spell their files with :func:`member`,
+:func:`spell_object`, :func:`spell_array`, :class:`_FloatSpellings` and the
+scalar :func:`dumps`, so the indent and the separators are decided here alone.
 
 A kind is the set of Python types that ``json.loads`` gives for it, matched
 exactly, so a bool is never an integer or a number.  A number comes back as
@@ -27,10 +29,36 @@ BOOL = Kind("bool", "bools", (bool,))
 STRING = Kind("string", "strings", (str,))
 OBJECT = Kind("object", "objects", (dict,))
 
+#: The most characters of a spelled value that a refusal echoes.
+ECHO_CHARS = 100
+
+
+def load(path, what: str, error: type[ValueError] = ValueError):
+    """The JSON value in the UTF-8 file at ``path``, or ``error`` naming the
+    file ``what`` if the decoder refuses it; OSError if it cannot be read."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.loads(fh.read())
+        # Not UTF-8, not JSON or an integer past the 4,300-digit limit is a
+        # ValueError; nesting past the recursion limit is a RecursionError.
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{what} is not valid JSON: {exc}") from exc
+
+
+def echo(x) -> str:
+    """``x`` as ``json.dumps`` spells it, cut to :data:`ECHO_CHARS` characters
+    and ``...``: spelling stops at the cut, so a long or deep value is cheap."""
+    spelled = ""
+    for part in json.JSONEncoder().iterencode(x):
+        spelled += part
+        if len(spelled) > ECHO_CHARS:
+            return spelled[:ECHO_CHARS] + "..."
+    return spelled
+
 
 def _shown(x, kind: Kind) -> str:
     # What stands where an object belongs can be a whole table: name its type.
-    return type(x).__name__ if kind is OBJECT else json.dumps(x)
+    return type(x).__name__ if kind is OBJECT else echo(x)
 
 
 def value(x, kind: Kind, name: str, error: type[ValueError] = ValueError):
@@ -50,7 +78,7 @@ def values(x, kind: Kind, name: str, error: type[ValueError] = ValueError) -> li
     """``x``, numbers as floats, if it is a JSON list of values of ``kind``;
     else ``error`` naming the field ``name`` and its first wrong entry."""
     if type(x) is not list:
-        raise error(f"{name} must be a JSON list of {kind.plural} (got {json.dumps(x)})")
+        raise error(f"{name} must be a JSON list of {kind.plural} (got {echo(x)})")
     for i, v in enumerate(x):
         if type(v) not in kind.types:
             raise error(f"{name} must be a JSON list of {kind.plural} (entry {i} is {_shown(v, kind)})")
@@ -73,9 +101,6 @@ class _FloatSpellings(dict):
         if x:
             self[x] = spelled
         return spelled
-
-
-_CONSTANTS = {True: "true", False: "false", None: "null"}
 
 
 def member(key: str, spelled: str) -> str:
@@ -123,38 +148,22 @@ _OBJECT, _ARRAY = _Brackets("{}"), _Brackets("[]")
 
 
 def dumps(x) -> str:
-    """``x`` spelled exactly as ``json.dumps(x, sort_keys=True, indent=2)``
-    spells it, for a dict with str keys, a list, a str, an int, a finite
-    float, a bool or None, nested to any depth.
+    """``x`` spelled exactly as ``json.dumps(x)`` spells it, for a str, an
+    int, a finite float, a bool or None: the one-line fields of a file.
 
-    NaN and the infinities raise ValueError.  A key that is not a str, or a
-    value of any other type (a tuple, a numpy scalar or a subclass of one of
-    these types included), raises TypeError.
+    NaN and the infinities raise ValueError.  Any other type (a list, a
+    dict, a tuple, a numpy scalar or a subclass of one of these types
+    included) raises TypeError.
     """
-    return _spell(x, 0, _FloatSpellings())
-
-
-def _spell(x, depth: int, floats: _FloatSpellings) -> str:
     t = type(x)
     if t is str:
         return _spell_str(x)
-    if t is float:
-        return floats[x]
     if t is int:
         return int.__repr__(x)
-    if t is bool or x is None:
-        return _CONSTANTS[x]
-    if t is dict:
-        for k in x:
-            if type(k) is not str:
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-        return spell_object([member(k, _spell(x[k], depth + 1, floats)) for k in sorted(x)], depth)
-    if t is list:
-        # A list of one number type is spelled in one map; a bool is never an int here.
-        types = set(map(type, x))
-        if types == {int}:
-            return spell_array(list(map(int.__repr__, x)), depth)
-        if types == {float}:
-            return spell_array(list(map(floats.__getitem__, x)), depth)
-        return spell_array([_spell(v, depth + 1, floats) for v in x], depth)
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    if t is float:
+        return _FloatSpellings()[x]
+    if t is bool:
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    raise TypeError(f"Object of type {t.__name__} is not a JSON scalar")

@@ -27,7 +27,8 @@ share and must not write to.
 Model file: sparse JSON, ``counts[str(m)][context key][token key] = count``
 for each nonzero count.  A token key is ``str(t)`` (``_token_keys``):
 decimal, no sign, padding or leading zeros; a context key joins its tokens'
-keys with ``","`` (``""`` for the empty context).  Loading refuses any other.
+keys with ``","`` (``""`` for the empty context).  Loading refuses any other,
+and ``jsonvalues.load`` refuses a file the decoder cannot read.
 
 Tokenization is per character: uppercase folds to lowercase, anything
 outside the alphabet maps to the blank token, one token per input character.
@@ -35,13 +36,13 @@ outside the alphabet maps to the blank token, one token per input character.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .jsonvalues import INTEGER, NUMBER, OBJECT, STRING, dumps, member, spell_object, value
+from .jsonvalues import INTEGER, NUMBER, OBJECT, STRING, dumps, echo, member, spell_object, value
+from .jsonvalues import load as load_json
 from .probcore import TokenAlphabet, TokenId, default_alphabet, logits_from_masses
 
 FORMAT_NAME = "decodelab-ngram"
@@ -200,8 +201,8 @@ class NGramModel:
         }
 
     def save(self, path: str | Path) -> None:
-        """Write the model file: the bytes of ``dumps(self.to_json_dict())``
-        and a newline, spelled straight from the count matrices."""
+        """Write the model file, ``json.dumps(self.to_json_dict(), sort_keys=True,
+        indent=2)`` and a newline, spelled straight from the count matrices."""
         tok_keys = _token_keys(self.alphabet.size)
         # Keys sort as strings: table "10" comes before table "2".
         tables = [member(str(m), _spell_level(*self._levels[m - 1], tok_keys, 2))
@@ -262,11 +263,7 @@ class NGramModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "NGramModel":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(load_json(path, "model file", ModelFormatError))
 
 
 def _spell_level(contexts: list[tuple[TokenId, ...]], matrix: np.ndarray, tok_keys: list[str], depth: int) -> str:
@@ -307,7 +304,7 @@ def _parse_level(m: int, level: dict, tok_of: dict[str, TokenId]):
         for tok_str, count in value(sparse, OBJECT, f"counts of context {key!r}", ModelFormatError).items():
             tok = tok_of.get(tok_str)
             if tok is None or type(count) is not int or not 0 <= count <= _INT64_MAX:
-                raise ModelFormatError(f"bad count entry {tok_str!r}: {json.dumps(count)}")
+                raise ModelFormatError(f"bad count entry {tok_str!r}: {echo(count)}")
             toks.append(tok)
             values.append(count)
         # The row totals are int64: a sum past the range would wrap negative.

@@ -35,7 +35,6 @@ platform and in every run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -50,6 +49,7 @@ from .jsonvalues import (
     OBJECT,
     _FloatSpellings,
     dumps,
+    echo,
     member,
     spell_array,
     spell_object,
@@ -74,6 +74,7 @@ STAGE_MIN_P = "after-min-p"
 
 #: Stage names in pipeline order.
 STAGES = (STAGE_SOFTMAX, STAGE_TOP_K, STAGE_TOP_P, STAGE_MIN_P)
+_SPELLED_STAGES = {name: dumps(name) for name in STAGES}
 
 _U64_MAX = 2**64 - 1
 
@@ -215,12 +216,12 @@ class StageRecord(ProbabilityDistribution):
         keys = ("stage", "survivor_count", "masses", "index_map")
         stage, count, masses, index_map = _fields(d, keys, "stage record")
         if stage not in STAGES:
-            raise ValueError(f"stage must be one of {', '.join(STAGES)} (got {json.dumps(stage)})")
+            raise ValueError(f"stage must be one of {', '.join(STAGES)} (got {echo(stage)})")
         masses = values(masses, NUMBER, "masses")
         index_map = values(index_map, INTEGER, "index_map")
         if type(count) is not int or not count == len(masses) == len(index_map):
             raise ValueError(f"survivor_count must be a JSON integer equal to the number of masses ({len(masses)}) "
-                             f"and of indices ({len(index_map)}) (got {json.dumps(count)})")
+                             f"and of indices ({len(index_map)}) (got {echo(count)})")
         if max(index_map, default=0) >= 2**63:  # past int64
             raise ValueError(f"index_map entries must be below 2^63 (got {max(index_map)})")
         return cls(masses, index_map, stage=stage)  # checks the masses and the indices
@@ -233,8 +234,8 @@ class SampleTrace:
     ``stages`` holds one record per executed stage in pipeline order;
     ``drawn_uniform`` is the unit-interval value consumed by the draw, a
     number in ``[0, 1)`` as every stream yields (None in argmax mode, which
-    draws nothing); the rest is derived from them.  The JSON rendering is
-    the golden-vector format used by conformance tests.
+    draws nothing); the rest is derived from them.  :func:`spell_traces`
+    writes traces to a file and :meth:`from_json_dict` reads one back.
     """
 
     stages: tuple[StageRecord, ...]
@@ -272,9 +273,6 @@ class SampleTrace:
             "drawn_uniform": None if self.drawn_uniform is None else float(self.drawn_uniform),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "SampleTrace":
         """Read a trace as ``to_json_dict`` writes it, and nothing the
@@ -305,26 +303,22 @@ class SampleTrace:
         if token not in stages[-1].index_map.tolist():
             raise ValueError(f"drawn_token must be one of the final stage's survivors (got {token})")
         if (u is None) != argmax_mode or not (u is None or 0.0 <= u < 1.0):
-            raise ValueError(f"drawn_uniform must be in [0, 1), or null in argmax mode alone (got {json.dumps(u)})")
+            raise ValueError(f"drawn_uniform must be in [0, 1), or null in argmax mode alone (got {echo(u)})")
         trace = cls(stages, u)
         if token != trace.drawn_token:
             raise ValueError(f"drawn_token must be {trace.drawn_token}, which the stages and uniform select "
                              f"(got {token})")
         return trace
 
-    @classmethod
-    def from_json(cls, text: str) -> "SampleTrace":
-        return cls.from_json_dict(json.loads(text))
-
 
 def spell_traces(traces: Sequence[SampleTrace], depth: int) -> str:
-    """``dumps([t.to_json_dict() for t in traces])`` as it stands at nesting
-    level ``depth``, spelled straight from the stage arrays."""
-    floats = _FloatSpellings()  # one per document, as dumps keeps: the masses of a context recur
+    """``[t.to_json_dict() for t in traces]`` as ``json.dumps(sort_keys=True, indent=2)``
+    spells it at nesting level ``depth``, spelled straight from the stage arrays."""
+    floats = _FloatSpellings()  # one per document: the masses of a context recur
     return spell_array([spell_object([
-        member("argmax_mode", dumps(t.argmax_mode)),
-        member("drawn_token", dumps(int(t.drawn_token))),
-        member("drawn_uniform", dumps(None if t.drawn_uniform is None else float(t.drawn_uniform))),
+        member("argmax_mode", "true" if t.argmax_mode else "false"),
+        member("drawn_token", int.__repr__(int(t.drawn_token))),
+        member("drawn_uniform", "null" if t.drawn_uniform is None else floats[float(t.drawn_uniform)]),
         member("stages", spell_array([_spell_stage(r, depth + 3, floats) for r in t.stages], depth + 2)),
     ], depth + 1) for t in traces], depth)
 
@@ -333,8 +327,8 @@ def _spell_stage(record: StageRecord, depth: int, floats: _FloatSpellings) -> st
     return spell_object([
         member("index_map", spell_array(list(map(int.__repr__, record.index_map.tolist())), depth + 1)),
         member("masses", spell_array(list(map(floats.__getitem__, record.masses.tolist())), depth + 1)),
-        member("stage", dumps(record.stage)),
-        member("survivor_count", dumps(record.survivor_count)),
+        member("stage", _SPELLED_STAGES[record.stage]),
+        member("survivor_count", int.__repr__(record.survivor_count)),
     ], depth)
 
 

@@ -369,6 +369,54 @@ class TestExitCodeFuzz:
         self._run(work, [command, *positionals, "--config", "cfg.json"])
 
 
+class TestHostileFiles:
+    """Files the JSON decoder refuses, and values too long to echo whole: exit 3 for a
+    model, 2 for a config, and one short stderr line.  They are written as raw text:
+    ``json.dumps`` refuses a 5,000-digit integer and recurses on 100,000 nested lists,
+    so ``FUZZ_VALUES`` cannot hold them."""
+
+    @staticmethod
+    def _run(capsys, model_file, bad, reader, text) -> tuple[int, str]:
+        bad.write_bytes(text(json.loads(model_file.read_text(encoding="utf-8"))))
+        argv = [str(bad)] if reader == "model" else [str(model_file), "--config", str(bad)]
+        code = main(["generate", *argv, "--max-len", "4"])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        return code, err
+
+    @pytest.mark.parametrize(
+        "reader, text, code",
+        [
+            ("model", lambda doc: b"[" * 100_000, EXIT_FORMAT),
+            ("config", lambda doc: b"[" * 100_000, EXIT_USAGE),
+            ("model", lambda doc: json.dumps({**doc, "alpha": "A"}).replace('"A"', "1" * 5000).encode(), EXIT_FORMAT),
+            ("model", lambda doc: json.dumps(doc).encode().replace(b'"decodelab-ngram"', b'"decodelab-ngram\xff"'),
+             EXIT_FORMAT),
+        ],
+        ids=["model-nested", "config-nested", "model-alpha-5000-digits", "model-not-utf-8"],
+    )
+    def test_a_file_the_decoder_refuses(self, tmp_path, model_file, capsys, reader, text, code):
+        rc, err = self._run(capsys, model_file, tmp_path / "bad.json", reader, text)
+        assert rc == code
+        assert err.startswith(f"error: {reader} file is not valid JSON: ")
+
+    @pytest.mark.parametrize(
+        "reader, text, code, message",
+        [
+            ("config", lambda doc: json.dumps({"top_k": [1] * 200_000}).encode(), EXIT_USAGE,
+             "config key 'top_k' must be a JSON integer (got [1, 1, 1, "),
+            ("model", lambda doc: json.dumps({**doc, "alpha": [0] * 200_000}).encode(), EXIT_FORMAT,
+             "alpha must be a JSON number (got [0, 0, 0, "),
+        ],
+        ids=["config-top-k", "model-alpha"],
+    )
+    def test_a_long_value_is_echoed_cut(self, tmp_path, model_file, capsys, reader, text, code, message):
+        rc, err = self._run(capsys, model_file, tmp_path / "bad.json", reader, text)
+        assert rc == code
+        assert err.startswith(f"error: {message}") and err.endswith("...)\n")
+        assert len(err.encode("utf-8")) <= 300
+
+
 class TestSweep:
     def test_grid_rows_and_header(self, tmp_path, model_file):
         out = tmp_path / "sweep.csv"

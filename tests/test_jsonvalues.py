@@ -1,5 +1,5 @@
 """The JSON value rules the three readers share, one refusal and one wording,
-and the spelling of the model and trace files."""
+the echo of a refused value, and the spelling of the model and trace files."""
 
 import json
 import logging
@@ -24,7 +24,7 @@ from decodelab import (
 )
 from decodelab.autoregress import FORMAT_NAME, FORMAT_VERSION, STOP_EOS
 from decodelab.cli import EXIT_OK, EXIT_USAGE, main
-from decodelab.jsonvalues import dumps
+from decodelab.jsonvalues import ECHO_CHARS, _FloatSpellings, dumps, echo, member, spell_array, spell_object
 from decodelab.ngram import train_ngram
 from decodelab.sampler import STAGE_MIN_P, STAGE_TOP_P
 
@@ -59,7 +59,7 @@ def _refusal(reader, field, x, tmp_path, capsys) -> str:
         return str(exc.value)
     if reader == "trace":
         with pytest.raises(ValueError) as exc:
-            SampleTrace.from_json(json.dumps(x if field is None else {**TRACE_DOC, field: x}))
+            SampleTrace.from_json_dict(x if field is None else {**TRACE_DOC, field: x})
         assert not isinstance(exc.value, ModelFormatError)
         return str(exc.value)
     model, config = tmp_path / "model.json", tmp_path / "cfg.json"
@@ -88,9 +88,33 @@ def test_the_three_readers_word_a_refusal_alike(tmp_path, capsys, reader, kind, 
     assert _refusal(reader, field, x, tmp_path, capsys) == refusal.format(name=name, kind=field_kind)
 
 
+def test_echo_cuts_a_long_or_deep_value():
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    with pytest.raises(RecursionError):
+        json.dumps(deep)
+    assert echo(deep) == "[" * ECHO_CHARS + "..."
+    assert echo([1] * 200_000) == ("[" + "1, " * ECHO_CHARS)[:ECHO_CHARS] + "..."
+    short = {"a": [1, 2.5, None, True, "\u00e9"]}
+    assert echo(short) == json.dumps(short)
+
+
 def reference_dumps(x) -> str:
-    """How the model and trace files were spelled before ``jsonvalues.dumps``."""
+    """How the model and trace files were spelled before ``jsonvalues`` spelled them."""
     return json.dumps(x, sort_keys=True, indent=2)
+
+
+def compose(x, depth: int = 0, floats: _FloatSpellings | None = None) -> str:
+    """``x`` spelled as the writers spell a file: objects and arrays laid out by
+    ``member``, ``spell_object`` and ``spell_array``, floats by one
+    ``_FloatSpellings`` per document, other scalars by ``dumps``."""
+    floats = _FloatSpellings() if floats is None else floats
+    if type(x) is dict:
+        return spell_object([member(k, compose(x[k], depth + 1, floats)) for k in sorted(x)], depth)
+    if type(x) is list:
+        return spell_array([compose(v, depth + 1, floats) for v in x], depth)
+    return floats[x] if type(x) is float else dumps(x)
 
 
 #: Floats drawn from a small pool repeat within a document, as a trace's do.
@@ -100,7 +124,7 @@ _ints = st.one_of(st.integers(), st.integers(min_value=2**64 - 2, max_value=2**6
 #: Keys and strings with non-ASCII and control characters, quotes and backslashes.
 _text = st.one_of(st.text(), st.text(alphabet=st.sampled_from("a\x00\x1f\x7f\n\t\"\\/é€\u2028\U0001f600"), max_size=6))
 _scalars = st.one_of(st.none(), st.booleans(), _ints, _floats, _text)
-#: A list of one number type takes the one-map path of dumps.
+#: Lists of one number type, as the writers' arrays are.
 _leaves = st.one_of(_scalars, st.lists(_floats, max_size=8), st.lists(_ints, max_size=8),
                     st.lists(st.sampled_from([0, 1, True, False, 1.0, -0.0, 0.0, None]), max_size=6))
 json_values = st.recursive(_leaves, lambda inner: st.one_of(st.lists(inner, max_size=5),
@@ -109,10 +133,13 @@ json_values = st.recursive(_leaves, lambda inner: st.one_of(st.lists(inner, max_
 
 
 class TestDumpsMatchesJsonDumps:
+    """The layout helpers, ``_FloatSpellings`` and the scalar ``dumps`` compose
+    to ``json.dumps(sort_keys=True, indent=2)`` for any JSON value."""
+
     @settings(max_examples=400)
     @given(json_values)
     def test_same_string_as_json_dumps(self, x):
-        assert dumps(x) == reference_dumps(x)
+        assert compose(x) == reference_dumps(x)
 
     @pytest.mark.parametrize("x", [
         {}, [], "", 0, -0.0, None, True,
@@ -127,7 +154,9 @@ class TestDumpsMatchesJsonDumps:
         {"b": 1, "a": 2, "B": 3, "": 4, "é": 5, "a\x00": 6},
     ], ids=repr)
     def test_named_values(self, x):
-        assert dumps(x) == reference_dumps(x)
+        assert compose(x) == reference_dumps(x)
+        if type(x) not in (dict, list):
+            assert dumps(x) == json.dumps(x)
 
     @pytest.mark.parametrize("x", [
         float("nan"), float("inf"), float("-inf"), [1.0, float("nan")], [float("inf")], [1, "a", float("-inf")],
@@ -135,21 +164,26 @@ class TestDumpsMatchesJsonDumps:
     ], ids=repr)
     def test_nan_and_the_infinities_raise_value_error(self, x):
         with pytest.raises(ValueError, match="^JSON has no spelling for the float"):
-            dumps(x)
+            compose(x)  # through _FloatSpellings
+        if type(x) is float:
+            with pytest.raises(ValueError, match="^JSON has no spelling for the float"):
+                dumps(x)
 
     @pytest.mark.parametrize("x", [
         (1, 2), [1, (2,)], {"a": (1.0,)}, {1: "a"}, {"a": 1, 2: "b"}, {None: 1}, {(1, 2): 3}, {1.5: 1},
         {1, 2}, b"a", np.float64(0.5), [np.int64(1)], object(),
+        [], {}, [1.0], {"a": 1}, np.int64(1), np.bool_(True),
     ], ids=repr)
     def test_other_types_and_keys_raise_type_error(self, x):
+        # dumps spells one scalar: every container is a TypeError
         with pytest.raises(TypeError):
             dumps(x)
 
     def test_a_zero_is_never_spelled_as_the_other_zero(self):
         # the float memo keys 0.0 and -0.0 alike, so it must keep neither
         doc = [0.0, -0.0, [0.0, -0.0], [-0.0, 0.0], {"a": -0.0, "b": 0.0}]
-        assert dumps(doc) == reference_dumps(doc)
-        assert dumps(doc).count("-0.0") == 4
+        assert compose(doc) == reference_dumps(doc)
+        assert compose(doc).count("-0.0") == 4
 
 
 #: Non-ASCII and control characters, which tokenize folds or maps to a blank.

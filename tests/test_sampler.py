@@ -32,6 +32,13 @@ from decodelab import (
     top_k_filter,
     top_p_filter,
 )
+from decodelab.sampler import spell_traces
+
+
+def reread(trace: SampleTrace) -> SampleTrace:
+    """``trace`` as ``from_json_dict`` reads it back from the spelling ``spell_traces`` writes."""
+    return SampleTrace.from_json_dict(json.loads(spell_traces([trace], 0))[0])
+
 
 finite_logits = arrays(
     np.float64,
@@ -420,7 +427,7 @@ class TestRunPipeline:
         t1, tr1 = run_pipeline(z, cfg, RandomStream(cfg.seed))
         t2, tr2 = run_pipeline(z, cfg, RandomStream(cfg.seed))
         assert t1 == t2
-        assert tr1.to_json() == tr2.to_json()
+        assert spell_traces([tr1], 0) == spell_traces([tr2], 0)
 
 
 class TestTraceSerialization:
@@ -428,7 +435,7 @@ class TestTraceSerialization:
         z = np.linspace(2.0, -2.0, 15)
         cfg = SamplerConfig(0.7, 9, 0.85, 0.03, seed=23)
         _, trace = run_pipeline(z, cfg, RandomStream(cfg.seed))
-        clone = SampleTrace.from_json(trace.to_json())
+        clone = reread(trace)
         assert clone.drawn_token == trace.drawn_token
         assert clone.drawn_uniform == trace.drawn_uniform
         assert clone.argmax_mode == trace.argmax_mode
@@ -441,7 +448,7 @@ class TestTraceSerialization:
 
     def test_argmax_mode_round_trips(self):
         _, trace = run_pipeline(np.array([0.0, 1.0]), SamplerConfig(0.0, 1), RandomStream(0))
-        clone = SampleTrace.from_json(trace.to_json())
+        clone = reread(trace)
         assert clone.argmax_mode
         assert clone.drawn_uniform is None
 
@@ -502,11 +509,11 @@ class TestTraceSerialization:
         # argmax mode on, stage "7", uniform 0.5 and index map [0, 1, 2]; the
         # later cases are well-typed, but no pipeline run writes them
         _, trace = run_pipeline(np.array([3.0, 2.0, 1.0, -9.0]), SamplerConfig(1.0, 3), RandomStream(5))
-        doc = json.loads(trace.to_json())
+        doc = json.loads(spell_traces([trace], 0))[0]
         assert doc["stages"][-1]["survivor_count"] == 3
         edit(doc)
         with pytest.raises(ValueError, match=message):
-            SampleTrace.from_json(json.dumps(doc))
+            SampleTrace.from_json_dict(doc)
 
 
 class TestDerivedTraceFields:
@@ -520,13 +527,13 @@ class TestDerivedTraceFields:
     def test_a_drawn_token_the_stages_do_not_select_is_refused(self):
         # both documents loaded before the reader compared the token with the one it derives
         with pytest.raises(ValueError, match=r"^drawn_token must be 1, which the stages and uniform select \(got 0\)$"):
-            SampleTrace.from_json(json.dumps(self.ARGMAX_DOC))
+            SampleTrace.from_json_dict(self.ARGMAX_DOC)
         _, trace = run_pipeline(np.array([3.0, 2.0, 1.0, -9.0]), SamplerConfig(1.0, 3), RandomStream(5))
-        doc = json.loads(trace.to_json())
+        doc = json.loads(spell_traces([trace], 0))[0]
         assert (doc["drawn_token"], doc["stages"][-1]["index_map"]) == (1, [0, 1, 2])
         doc["drawn_token"] = 2  # a survivor, but not the one drawn_uniform selects
         with pytest.raises(ValueError, match=r"^drawn_token must be 1, .* \(got 2\)$"):
-            SampleTrace.from_json(json.dumps(doc))
+            SampleTrace.from_json_dict(doc)
 
     @pytest.mark.parametrize(
         "masses, index_map, message",
@@ -584,7 +591,7 @@ class TestDerivedTraceFields:
             token, trace = run_pipeline(z, cfg, RandomStream(seed))
             assert token == 1
             assert SampleTrace(trace.stages, trace.drawn_uniform).drawn_token == token
-            assert SampleTrace.from_json(trace.to_json()).drawn_token == token
+            assert reread(trace).drawn_token == token
 
 
 # -- Frozen reference pipeline ------------------------------------------------
@@ -698,7 +705,7 @@ class TestKernelMatchesReference:
         assert token == ref_token
         assert pos == ref_pos
         if want_trace:
-            assert trace.to_json() == ref_trace.to_json()
+            assert spell_traces([trace], 0) == spell_traces([ref_trace], 0)
             assert all(not s.masses.flags.writeable and not s.index_map.flags.writeable for s in trace.stages)
         else:
             assert trace is None and ref_trace is None
@@ -719,7 +726,7 @@ class TestKernelMatchesReference:
             (token, trace), (ref_token, ref_trace), pos, ref_pos = self._both(z, cfg, want_trace)
             assert (token, pos) == (ref_token, ref_pos)
             if want_trace:
-                assert trace.to_json() == ref_trace.to_json()
+                assert spell_traces([trace], 0) == spell_traces([ref_trace], 0)
 
     def test_rejects_what_the_reference_rejects(self):
         for bad in ([], [[1.0, 2.0]], [0.0, float("nan")], [float("inf"), 0.0]):
@@ -768,7 +775,7 @@ class TestSampleRowsMatchesPipeline:
             ref = [run_pipeline(row, cfg, stream) for row in z]
         assert none is None
         assert tokens.tolist() == bare.tolist() == [t for t, _ in ref]
-        assert [t.to_json() for t in traces] == [t.to_json() for _, t in ref]
+        assert spell_traces(traces, 0) == spell_traces([t for _, t in ref], 0)
 
     @settings(max_examples=300)
     @given(differential_matrices, differential_configs, st.data())
@@ -828,7 +835,7 @@ class TestPerRowTopK:
                 alone = replace(cfg, top_k=int(ks[i]))
                 one, one_traces = sample_rows(row[None], alone, None if u is None else u[i:i + 1])
                 assert tokens[i] == bare[i] == one[0]
-                assert traces[i].to_json() == one_traces[0].to_json()
+                assert spell_traces(traces[i:i + 1], 0) == spell_traces(one_traces, 0)
         return traces
 
     @settings(max_examples=300)
@@ -881,4 +888,4 @@ class TestTraceReaderTakesWhatThePipelineWrites:
             _, traces = sample_rows(z, cfg, None if cfg.temperature == 0.0 else np.array(uniforms))
             _, trace = run_pipeline(z[0], cfg, RandomStream(cfg.seed))
         for t in (*traces, trace):
-            assert SampleTrace.from_json(t.to_json()).to_json() == t.to_json()
+            assert spell_traces([reread(t)], 0) == spell_traces([t], 0)
