@@ -18,7 +18,7 @@ import numpy as np
 from .jsonvalues import dumps, member, spell_object
 from .ngram import detokenize
 from .probcore import TokenAlphabet, TokenId
-from .sampler import RandomStream, SampleTrace, SamplerConfig, run_pipeline, spell_traces
+from .sampler import RandomStream, SampleTrace, SamplerConfig, run_pipeline, trace_parts
 
 #: Default context window capacity.
 DEFAULT_CAPACITY = 64
@@ -90,7 +90,9 @@ class GenerationResult:
         """Write the trace file, ``json.dumps(doc, sort_keys=True, indent=2)``
         and a newline, ``doc`` being :meth:`to_json_dict` with :data:`FORMAT_NAME`
         and :data:`FORMAT_VERSION` under ``"format"`` and ``"format_version"``,
-        spelled straight from each trace's stage arrays."""
+        spelled straight from each trace's stage arrays.  The traces are
+        streamed: each is spelled and written in turn, so the whole file is
+        never held as one string."""
         # The traces, nearly all of the file, go to it as spelled: the document
         # around them is spelled with a NUL in their place (spelled JSON
         # escapes every control character) and split there.
@@ -103,7 +105,9 @@ class GenerationResult:
             member("traces", "\0"),
         ], 0).split("\0")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines((head, spell_traces(self.traces, 1), tail, "\n"))
+            fh.write(head)
+            fh.writelines(trace_parts(self.traces, 1))
+            fh.write(tail + "\n")
 
 
 def generate(

@@ -165,7 +165,8 @@ def _merged_params(args: argparse.Namespace, command: str) -> dict:
         doc = jsonvalues.value(jsonvalues.load(args.config, "config file"), jsonvalues.OBJECT, "config file")
         unknown = sorted(set(doc) - set(params))
         if unknown:
-            raise ValueError(f"config file has unknown keys for '{command}': {', '.join(unknown)}")
+            listed = jsonvalues.cut(", " + key if i else key for i, key in enumerate(unknown))
+            raise ValueError(f"config file has unknown keys for '{command}': {listed}")
         for key, value in doc.items():
             typ, default, _ = params[key]
             merged[key] = _config_value(key, typ, default, value)

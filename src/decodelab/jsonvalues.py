@@ -2,9 +2,10 @@
 config files and raises the reader's own error for any file the decoder
 refuses.  The model loader, the trace reader and the config reader check
 their fields with :func:`value` and :func:`values`, so each refusal is worded
-alike, and a refusal shows a value through :func:`echo`, cut short.  The
-model and trace writers spell their files with :func:`member`,
-:func:`spell_object`, :func:`spell_array`, :class:`_FloatSpellings` and the
+alike, and a refusal shows a value through :func:`echo` (JSON spelling) or
+:func:`echo_repr` (``repr`` spelling), cut short.  The model and trace
+writers spell their files with :func:`member`, :func:`spell_object`,
+:func:`spell_array`, :func:`array_parts`, :class:`_FloatSpellings` and the
 scalar :func:`dumps`, so the indent and the separators are decided here alone.
 
 A kind is the set of Python types that ``json.loads`` gives for it, matched
@@ -16,6 +17,7 @@ passes its own error class: model documents raise ``ModelFormatError``.
 import json
 import math
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii as _spell_str
 
 #: ``name`` as in "must be a JSON integer", ``plural`` as in "must be a JSON
@@ -48,8 +50,42 @@ def load(path, what: str, error: type[ValueError] = ValueError):
 def echo(x) -> str:
     """``x`` as ``json.dumps`` spells it, cut to :data:`ECHO_CHARS` characters
     and ``...``: spelling stops at the cut, so a long or deep value is cheap."""
+    return cut(json.JSONEncoder().iterencode(x))
+
+
+def echo_repr(x) -> str:
+    """``repr(x)`` of a JSON value, cut as :func:`echo` cuts it.  A string
+    past the cut is spelled from its first ``ECHO_CHARS + 1`` characters, so
+    its quotes can differ from those of the whole string's ``repr``."""
+    return cut(_repr_parts(x))
+
+
+def _repr_parts(x) -> Iterator[str]:
+    # Every list or dict yields its bracket before its items, so a deep value
+    # is spelled only as deep as the cut.
+    if type(x) is list:
+        yield "["
+        for i, item in enumerate(x):
+            yield ", " if i else ""
+            yield from _repr_parts(item)
+        yield "]"
+    elif type(x) is dict:
+        yield "{"
+        for i, (key, item) in enumerate(x.items()):
+            yield ", " if i else ""
+            yield from _repr_parts(key)
+            yield ": "
+            yield from _repr_parts(item)
+        yield "}"
+    else:
+        yield repr(x[: ECHO_CHARS + 1] if type(x) is str else x)
+
+
+def cut(parts: Iterable[str]) -> str:
+    """The text of ``parts`` joined, cut to :data:`ECHO_CHARS` characters and
+    ``...``; no part past the cut is taken."""
     spelled = ""
-    for part in json.JSONEncoder().iterencode(x):
+    for part in parts:
         spelled += part
         if len(spelled) > ECHO_CHARS:
             return spelled[:ECHO_CHARS] + "..."
@@ -125,6 +161,21 @@ def spell_array(items: list[str], depth: int) -> str:
         return "[]"
     opening, separator, closing = _ARRAY[depth]
     return opening + separator.join(items) + closing
+
+
+def array_parts(items: Iterable[str], depth: int) -> Iterator[str]:
+    """:func:`spell_array` of ``items`` in parts, one per item: the bracket
+    and separator go with the item they come before."""
+    items = iter(items)
+    first = next(items, None)
+    if first is None:
+        yield "[]"
+        return
+    opening, separator, closing = _ARRAY[depth]
+    yield opening + first
+    for item in items:
+        yield separator + item
+    yield closing
 
 
 class _Brackets(dict):

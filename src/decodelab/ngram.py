@@ -28,7 +28,11 @@ Model file: sparse JSON, ``counts[str(m)][context key][token key] = count``
 for each nonzero count.  A token key is ``str(t)`` (``_token_keys``):
 decimal, no sign, padding or leading zeros; a context key joins its tokens'
 keys with ``","`` (``""`` for the empty context).  Loading refuses any other,
-and ``jsonvalues.load`` refuses a file the decoder cannot read.
+and ``jsonvalues.load`` refuses a file the decoder cannot read.  Loading
+checks each count table in whole-table passes (key lookups, value types, one
+int64 conversion, a bound on the row totals); a table that fails any of them
+is checked again entry by entry, in document order, and that loop alone words
+the refusal, naming the first bad entry.
 
 Tokenization is per character: uppercase folds to lowercase, anything
 outside the alphabet maps to the blank token, one token per input character.
@@ -36,12 +40,13 @@ outside the alphabet maps to the blank token, one token per input character.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .jsonvalues import INTEGER, NUMBER, OBJECT, STRING, dumps, echo, member, spell_object, value
+from .jsonvalues import INTEGER, NUMBER, OBJECT, STRING, dumps, echo, echo_repr, member, spell_object, value
 from .jsonvalues import load as load_json
 from .probcore import TokenAlphabet, TokenId, default_alphabet, logits_from_masses
 
@@ -234,7 +239,7 @@ class NGramModel:
             raise ModelFormatError("not a decodelab n-gram model document")
         if d.get("format_version") != FORMAT_VERSION:
             raise ModelFormatError(
-                f"unsupported model format version {d.get('format_version')!r} (expected {FORMAT_VERSION})"
+                f"unsupported model format version {echo_repr(d.get('format_version'))} (expected {FORMAT_VERSION})"
             )
         try:
             value(d["format_version"], INTEGER, "format_version", ModelFormatError)  # true and 1.0 equal 1
@@ -248,7 +253,7 @@ class NGramModel:
             # Check the table set and the matrix sizes before allocating
             # anything, then walk the orders (not the document) in turn.
             if order != len(counts) or set(counts) != {str(m) for m in range(1, order + 1)}:
-                raise ModelFormatError(f"count tables must be exactly '1'..'{order}' (got {sorted(counts)})")
+                raise ModelFormatError(f"count tables must be exactly '1'..'{order}' (got {echo_repr(sorted(counts))})")
             _check_cells(size * sum(len(v) for v in counts.values() if isinstance(v, dict)), ModelFormatError)
             tok_of = {key: t for t, key in enumerate(_token_keys(size))}
             levels = [_parse_level(m, value(counts[str(m)], OBJECT, f"count table '{m}'", ModelFormatError), tok_of)
@@ -292,24 +297,72 @@ def _string_ranks(keys: list[str]) -> np.ndarray:
 
 def _parse_level(m: int, level: dict, tok_of: dict[str, TokenId]):
     """One order's count table: its contexts in lexicographic order and their
-    matrix.  Entries are checked in document order, raising at the first bad
-    one.  Each key part is one ``tok_of`` lookup: only the spelling ``save``
-    writes is read, so no two keys name one context or token."""
+    matrix.  Each key part is one ``tok_of`` lookup: only the spelling ``save``
+    writes is read, so no two keys name one context or token.
+
+    The table is checked in bulk; if any bulk check fails, the entries are
+    checked one by one, so the refusal names the first bad one."""
+    parsed = _bulk_level(m, level, tok_of)
+    return parsed if parsed is not None else _checked_level(m, level, tok_of)
+
+
+def _bulk_level(m: int, level: dict, tok_of: dict[str, TokenId]):
+    """What ``_checked_level`` returns, from whole-table passes, or None if
+    any check fails."""
+    keys, tables = list(level), list(level.values())
+    if m == 1:
+        if keys not in ([], [""]):
+            return None
+        contexts, ranked = [()] * len(keys), np.arange(len(keys))
+    elif set(map(type, keys)) - {str} or set(map(str.count, keys, repeat(","))) - {m - 2}:
+        return None  # a key of m - 1 parts has m - 2 commas ("" is one empty part)
+    else:
+        parts = list(map(tok_of.get, ",".join(keys).split(",")))
+        try:  # a part that spells no token is None, which numpy refuses
+            columns = np.array(parts, dtype=np.min_scalar_type(len(tok_of))).reshape(len(keys), m - 1).T
+        except TypeError:
+            return None
+        contexts = list(zip(*[iter(parts)] * (m - 1)))
+        ranked = np.lexsort(columns[::-1])  # lexsort's last key is its primary one; narrow keys radix-sort
+    if set(map(type, tables)) - {dict}:
+        return None
+    counts = list(chain.from_iterable(map(dict.values, tables)))
+    if set(map(type, counts)) - {int}:
+        return None
+    try:
+        toks = np.array(list(map(tok_of.get, chain.from_iterable(tables))), dtype=np.intp)
+        values = np.array(counts, dtype=np.int64)
+    except (TypeError, OverflowError):  # a token key that spells no token, or a count past int64
+        return None
+    lengths = list(map(len, tables))
+    # The row totals are int64: leave a table whose rows might pass the range to the loop.
+    if values.size and (values.min() < 0 or int(values.max()) * max(lengths) > _INT64_MAX):
+        return None
+    rank_of = np.empty_like(ranked)
+    rank_of[ranked] = np.arange(ranked.size)
+    matrix = np.zeros((len(keys), len(tok_of)), dtype=np.int64)
+    matrix[np.repeat(rank_of, lengths), toks] = values
+    return [contexts[i] for i in ranked.tolist()], matrix
+
+
+def _checked_level(m: int, level: dict, tok_of: dict[str, TokenId]):
+    """``_parse_level`` one entry at a time, in document order, raising at the
+    first bad entry."""
     contexts, toks, values, lengths = [], [], [], []
     for key, sparse in level.items():
         ctx = tuple(map(tok_of.get, key.split(","))) if key else ()
         if len(ctx) != m - 1 or None in ctx:
-            raise ModelFormatError(f"bad context key {key!r} for order {m}")
+            raise ModelFormatError(f"bad context key {echo_repr(key)} for order {m}")
         start = len(values)
-        for tok_str, count in value(sparse, OBJECT, f"counts of context {key!r}", ModelFormatError).items():
+        for tok_str, count in value(sparse, OBJECT, f"counts of context {echo_repr(key)}", ModelFormatError).items():
             tok = tok_of.get(tok_str)
             if tok is None or type(count) is not int or not 0 <= count <= _INT64_MAX:
-                raise ModelFormatError(f"bad count entry {tok_str!r}: {echo(count)}")
+                raise ModelFormatError(f"bad count entry {echo_repr(tok_str)}: {echo(count)}")
             toks.append(tok)
             values.append(count)
         # The row totals are int64: a sum past the range would wrap negative.
         if sum(values[start:]) > _INT64_MAX:
-            raise ModelFormatError(f"counts of context {key!r} sum past 2^63 - 1")
+            raise ModelFormatError(f"counts of context {echo_repr(key)} sum past 2^63 - 1")
         contexts.append(ctx)
         lengths.append(len(values) - start)
     ranked = sorted(range(len(contexts)), key=contexts.__getitem__)
@@ -344,14 +397,19 @@ def train_ngram(
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0 (got {alpha!r})")
     size = alphabet.size
-    tokens = list(map(int, corpus))
-    if len(tokens) < order:
-        raise ValueError(f"corpus has {len(tokens)} tokens but order-{order} training needs at least {order}")
-    if not (0 <= min(tokens) and max(tokens) < size):
-        bad = next(t for t in tokens if not 0 <= t < size)
-        raise ValueError(f"corpus token {bad} outside alphabet of size {size}")
-    toks = np.array(tokens, dtype=np.int64)
-    del tokens  # corpus-sized; the count passes below need only the array
+    try:
+        # Each token as int() reads it: floats truncate, bools and numpy ints are taken.
+        toks = np.fromiter(corpus, np.int64, count=len(corpus))
+    except (OverflowError, TypeError, ValueError):  # int() and the checks below decide
+        toks = None
+    if toks is None or toks.size < order or not (0 <= toks.min() and toks.max() < size):
+        tokens = list(map(int, corpus))
+        if len(tokens) < order:
+            raise ValueError(f"corpus has {len(tokens)} tokens but order-{order} training needs at least {order}")
+        if not (0 <= min(tokens) and max(tokens) < size):
+            bad = next(t for t in tokens if not 0 <= t < size)
+            raise ValueError(f"corpus token {bad} outside alphabet of size {size}")
+        toks = np.array(tokens, dtype=np.int64)
     n = toks.size
     levels: Levels = []
     contexts: list[tuple[TokenId, ...]] = [()]

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .jsonvalues import (
     NUMBER_OR_NULL,
     OBJECT,
     _FloatSpellings,
+    array_parts,
     dumps,
     echo,
     member,
@@ -314,13 +315,32 @@ class SampleTrace:
 def spell_traces(traces: Sequence[SampleTrace], depth: int) -> str:
     """``[t.to_json_dict() for t in traces]`` as ``json.dumps(sort_keys=True, indent=2)``
     spells it at nesting level ``depth``, spelled straight from the stage arrays."""
-    floats = _FloatSpellings()  # one per document: the masses of a context recur
-    return spell_array([spell_object([
+    return "".join(trace_parts(traces, depth))
+
+
+def trace_parts(traces: Sequence[SampleTrace], depth: int) -> Iterator[str]:
+    """:func:`spell_traces` in parts, one per trace, spelled as they are taken.
+
+    A stage record equal to an earlier one of the document in stage name and
+    in the bytes of both arrays is spelled once (``-0.0`` and ``0.0`` differ
+    in bytes, so they stay apart): a recurring context gives the same masses.
+    """
+    floats = _FloatSpellings()  # one per document, like the stage memo
+    stages: dict[tuple[str, bytes, bytes], str] = {}
+
+    def spell_stage(record: StageRecord) -> str:
+        key = (record.stage, record.masses.tobytes(), record.index_map.tobytes())
+        spelled = stages.get(key)
+        if spelled is None:
+            spelled = stages[key] = _spell_stage(record, depth + 3, floats)
+        return spelled
+
+    return array_parts((spell_object([
         member("argmax_mode", "true" if t.argmax_mode else "false"),
         member("drawn_token", int.__repr__(int(t.drawn_token))),
         member("drawn_uniform", "null" if t.drawn_uniform is None else floats[float(t.drawn_uniform)]),
-        member("stages", spell_array([_spell_stage(r, depth + 3, floats) for r in t.stages], depth + 2)),
-    ], depth + 1) for t in traces], depth)
+        member("stages", spell_array(list(map(spell_stage, t.stages)), depth + 2)),
+    ], depth + 1) for t in traces), depth)
 
 
 def _spell_stage(record: StageRecord, depth: int, floats: _FloatSpellings) -> str:

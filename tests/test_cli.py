@@ -369,6 +369,12 @@ class TestExitCodeFuzz:
         self._run(work, [command, *positionals, "--config", "cfg.json"])
 
 
+def _with_counts(doc, edit) -> bytes:
+    """The model document ``doc`` with ``edit`` applied to its count tables."""
+    edit(doc["counts"])
+    return json.dumps(doc).encode()
+
+
 class TestHostileFiles:
     """Files the JSON decoder refuses, and values too long to echo whole: exit 3 for a
     model, 2 for a config, and one short stderr line.  They are written as raw text:
@@ -414,6 +420,28 @@ class TestHostileFiles:
         rc, err = self._run(capsys, model_file, tmp_path / "bad.json", reader, text)
         assert rc == code
         assert err.startswith(f"error: {message}") and err.endswith("...)\n")
+        assert len(err.encode("utf-8")) <= 300
+
+    @pytest.mark.parametrize(
+        "reader, text, code, message",
+        [
+            ("model", lambda doc: json.dumps({**doc, "format_version": [0] * 200_000}).encode(), EXIT_FORMAT,
+             "unsupported model format version [0, 0, "),
+            ("model", lambda doc: _with_counts(doc, lambda c: c["2"].update({"x" * 200_000: {}})), EXIT_FORMAT,
+             "bad context key 'xxx"),
+            ("model", lambda doc: _with_counts(doc, lambda c: c["1"][""].update({"x" * 200_000: 1})), EXIT_FORMAT,
+             "bad count entry 'xxx"),
+            ("model", lambda doc: _with_counts(doc, lambda c: c.update(dict.fromkeys(map(str, range(9, 50_000)), {}))),
+             EXIT_FORMAT, "count tables must be exactly '1'..'3' (got ['1', '10', '100', "),
+            ("config", lambda doc: json.dumps(dict.fromkeys((f"key{i}" for i in range(50_000)), 1)).encode(),
+             EXIT_USAGE, "config file has unknown keys for 'generate': key0, key1, key10, "),
+        ],
+        ids=["model-format-version", "model-context-key", "model-token-key", "model-table-names", "config-keys"],
+    )
+    def test_a_long_key_or_key_list_is_echoed_cut(self, tmp_path, model_file, capsys, reader, text, code, message):
+        rc, err = self._run(capsys, model_file, tmp_path / "bad.json", reader, text)
+        assert rc == code
+        assert err.startswith(f"error: {message}") and "..." in err
         assert len(err.encode("utf-8")) <= 300
 
 

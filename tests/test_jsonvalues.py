@@ -12,21 +12,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decodelab import (
+    GenerationResult,
     ModelFormatError,
     NGramModel,
     RandomStream,
     SampleTrace,
     SamplerConfig,
+    StageRecord,
     TokenAlphabet,
     generate,
     run_pipeline,
     tokenize,
 )
-from decodelab.autoregress import FORMAT_NAME, FORMAT_VERSION, STOP_EOS
+from decodelab.autoregress import FORMAT_NAME, FORMAT_VERSION, STOP_EOS, STOP_MAX_LEN
 from decodelab.cli import EXIT_OK, EXIT_USAGE, main
-from decodelab.jsonvalues import ECHO_CHARS, _FloatSpellings, dumps, echo, member, spell_array, spell_object
+from decodelab.jsonvalues import (
+    ECHO_CHARS,
+    _FloatSpellings,
+    array_parts,
+    cut,
+    dumps,
+    echo,
+    echo_repr,
+    member,
+    spell_array,
+    spell_object,
+)
 from decodelab.ngram import train_ngram
-from decodelab.sampler import STAGE_MIN_P, STAGE_TOP_P
+from decodelab.sampler import STAGE_MIN_P, STAGE_SOFTMAX, STAGE_TOP_P, STAGES, spell_traces, trace_parts
 
 MODEL_DOC = train_ngram(tokenize("abab cab."), 2, 0.1).to_json_dict()
 TRACE_DOC = run_pipeline(np.array([3.0, 2.0, 1.0, -9.0]), SamplerConfig(1.0, 3), RandomStream(5))[1].to_json_dict()
@@ -98,6 +111,38 @@ def test_echo_cuts_a_long_or_deep_value():
     assert echo([1] * 200_000) == ("[" + "1, " * ECHO_CHARS)[:ECHO_CHARS] + "..."
     short = {"a": [1, 2.5, None, True, "\u00e9"]}
     assert echo(short) == json.dumps(short)
+
+
+def test_echo_repr_keeps_a_short_value_and_cuts_a_long_or_deep_one():
+    shorts = [{"a": [1, 2.5, None, True, "\u00e9"], "b": {}}, "it's", 'say "x"', 2**70, -0.0, "x" * (ECHO_CHARS - 2)]
+    for short in shorts:
+        assert echo_repr(short) == repr(short)
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    assert echo_repr(deep) == "[" * ECHO_CHARS + "..."
+    assert echo_repr([0] * 200_000) == ("[" + "0, " * ECHO_CHARS)[:ECHO_CHARS] + "..."
+    assert echo_repr("x" * 200_000) == "'" + "x" * (ECHO_CHARS - 1) + "..."
+    assert echo_repr({"k" * 200_000: 1}) == "{'" + "k" * (ECHO_CHARS - 2) + "..."
+    assert echo_repr("\x00" * ECHO_CHARS) == repr("\x00" * ECHO_CHARS)[:ECHO_CHARS] + "..."
+
+
+def test_cut_takes_no_part_past_the_cut():
+    def parts():
+        yield "a" * ECHO_CHARS
+        yield "b"
+        raise AssertionError("a part past the cut was taken")
+
+    assert cut(parts()) == "a" * ECHO_CHARS + "..."
+    assert cut(["ab", "", "c"]) == "abc"
+
+
+@pytest.mark.parametrize("items", [[], ["1"], ["1", "[]", '"x"']])
+@pytest.mark.parametrize("depth", [0, 2])
+def test_array_parts_is_spell_array_in_parts(items, depth):
+    parts = list(array_parts(iter(items), depth))
+    assert "".join(parts) == spell_array(items, depth)
+    assert len(parts) == len(items) + 1 if items else parts == ["[]"]
 
 
 def reference_dumps(x) -> str:
@@ -352,6 +397,68 @@ class TestWritersMatchTheDictForms:
             assert (top_p.stage, min_p.stage) == (STAGE_TOP_P, STAGE_MIN_P)
             assert top_p.masses.max() < 0.5 and min_p.survivor_count == 1
         _trace_file(result, model.alphabet)
+
+
+def _record(masses, index_map, stage=STAGE_SOFTMAX):
+    return StageRecord(np.array(masses), np.array(index_map), stage=stage)
+
+
+def _sampled(*records, u=0.5):
+    """A sampled-mode trace through the four stages, each holding ``records[i]``."""
+    return SampleTrace(tuple(_record(*r, stage=s) for r, s in zip(records, STAGES)), u)
+
+
+class TestTraceMemoAndStream:
+    """``trace_parts`` spells a stage record once per document and reuses it
+    for every record equal in stage name and in the bytes of both arrays; the
+    bytes stay those of ``json.dumps(to_json_dict, sort_keys=True, indent=2)``."""
+
+    HALVES = ([0.5, 0.5], [0, 1])
+
+    @staticmethod
+    def _check(traces, alphabet=TokenAlphabet(tuple("abc"), 2)):
+        for depth in (0, 1, 3):
+            spelled = spell_traces(traces, depth)
+            assert spelled == "".join(trace_parts(traces, depth))
+            want = reference_dumps([t.to_json_dict() for t in traces])
+            assert spelled == want.replace("\n", "\n" + "  " * depth)
+        result = GenerationResult((0,), tuple(int(t.drawn_token) for t in traces), tuple(traces), STOP_MAX_LEN)
+        return _trace_file(result, alphabet).decode("ascii")
+
+    def test_equal_masses_under_different_stage_names(self):
+        text = self._check([_sampled(*[self.HALVES] * 4), _sampled(*[self.HALVES] * 4, u=0.75)])
+        assert all(text.count(f'"stage": "{s}"') == 2 for s in STAGES)
+
+    def test_equal_masses_under_different_index_maps(self):
+        other = ([0.5, 0.5], [1, 2])
+        self._check([_sampled(*[self.HALVES] * 4), _sampled(self.HALVES, other, self.HALVES, other)])
+
+    def test_negative_and_positive_zero_masses_stay_apart(self):
+        minus, plus = ([-0.0, 1.0], [0, 1]), ([0.0, 1.0], [0, 1])
+        text = self._check([_sampled(minus, minus, plus, plus), _sampled(plus, minus, plus, minus)])
+        assert text.count("-0.0,") == 4 and text.count(" 0.0,") == 4
+
+    def test_an_empty_trace_list(self):
+        assert spell_traces([], 2) == "[]" and list(trace_parts([], 2)) == ["[]"]
+        assert '"traces": []' in self._check([])
+
+    def test_argmax_traces(self):
+        argmax = SampleTrace((_record([0.25, 0.75], [0, 1]),), None)
+        again = SampleTrace((_record([0.25, 0.75], [0, 1]),), None)
+        assert self._check([argmax, again, argmax]).count('"drawn_uniform": null') == 3
+
+    def test_generated_traces_with_recurring_contexts(self):
+        # Order 1 with T = 0.5: every token has one context, so every record recurs.
+        model = train_ngram(tokenize("abab cab."), 1, 0.1)
+        result = generate(model, SamplerConfig(0.5, 3, seed=11), tokenize("a"), max_len=30)
+        _trace_file(result, model.alphabet)
+
+    def test_the_writer_streams_one_trace_at_a_time(self):
+        parts = trace_parts([_sampled(*[self.HALVES] * 4), "not a trace"], 1)
+        first = next(parts)  # spelled before the second trace is looked at
+        assert first.startswith("[\n    {") and first.endswith("}")
+        with pytest.raises(AttributeError):
+            next(parts)
 
 
 class TestPhaseTiming:

@@ -4,6 +4,7 @@ import json
 import re
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -491,6 +492,24 @@ class TestDenseMatchesReference:
         assert _dumps(model) == _dumps(ref)
         _same_bits(model, ref, [toks[i : i + 6] for i in range(0, 3000, 7)])
 
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            [0.0, 1.9, 2.5, -0.5, 1.0, 39.99],
+            [True, False, True, True],
+            [np.int8(3), np.uint64(1), np.int64(3), 2],
+            np.array([5, 1, 5, 39], dtype=np.uint8),
+            np.array([2.7, 0.2, 2.0]),
+            "1213",
+        ],
+        ids=["floats", "bools", "numpy-ints", "uint8-array", "float-array", "digit-strings"],
+    )
+    def test_a_corpus_trains_as_its_int_form(self, corpus):
+        ints = list(map(int, corpus))
+        for order in (1, 2, 3):
+            assert _dumps(train_ngram(corpus, order, 0.1)) == _dumps(train_ngram(ints, order, 0.1))
+            assert _dumps(train_ngram(corpus, order, 0.1)) == _dumps(reference_train_ngram(corpus, order, 0.1))
+
     def test_token_checks_keep_their_messages(self):
         for corpus, order in [((0, 1, 40, -1), 2), ((0, 40, 1), 2), ((0, -3, 2**70), 1), ((0, 2**70, -3), 1), ((1,), 2)]:
             with pytest.raises(ValueError) as shipped:
@@ -628,6 +647,121 @@ class TestLoaderMatchesReference:
         doc = _edit(self.DOC, ["counts", "1", ""], {str(a): 2**62, str(b): 2**62 - 1})
         masses = NGramModel.from_json_dict(doc).conditional(())
         assert masses.min() > 0 and masses[a] == pytest.approx(0.5)
+
+
+def _level_outcome(parse, m, level, tok_of):
+    """A parser's count table for order ``m``, or its refusal."""
+    try:
+        contexts, matrix = parse(m, level, tok_of)
+    except ModelFormatError as exc:
+        return "error", str(exc)
+    return "level", contexts, matrix.dtype, matrix.shape, matrix.tobytes()
+
+
+def _loop_must_not_run(m, level, tok_of):
+    raise AssertionError(f"the per-entry loop ran on the order-{m} table")
+
+
+#: An alphabet past 255 symbols gives the bulk pass's context columns a wider dtype.
+BULK_ALPHABETS = ALPHABETS + [TokenAlphabet(tuple(chr(0x4E00 + i) for i in range(300)), 7)]
+
+
+@st.composite
+def model_documents(draw):
+    """The document of a model trained on a random corpus, and its token keys."""
+    alphabet = draw(st.sampled_from(BULK_ALPHABETS))
+    size = alphabet.size
+    used = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=min(size, 6), unique=True))
+    order = draw(st.integers(1, 5))
+    corpus = draw(st.lists(st.sampled_from(used), min_size=order, max_size=80))
+    doc = train_ngram(corpus, order, 0.1, alphabet).to_json_dict()
+    return doc, {str(t): t for t in range(size)}
+
+
+class TestBulkLoaderMatchesLoop:
+    """``_parse_level`` checks a count table in bulk and falls back to the
+    per-entry loop, ``_checked_level``.  On real documents and on single edits
+    of them, both give the same contexts and matrix or the same first refusal,
+    the bulk pass never takes a table the loop refuses, and a real document
+    never reaches the loop."""
+
+    VALUES = [None, True, False, -1, 0, 1, 2.5, 4.0, "1", [], {}, {"0": 1}, 2**62, 2**63 - 1, 2**63, 2**64,
+              -2**63, -2**63 - 1]
+    KEYS = ["", "0", "1", "01", " 1", "+1", "-1", "40", "299", "300", "a", "1,", ",", "0,1", "1,0", "0,0,0", "0,,1"]
+
+    @staticmethod
+    def _check_every_level(doc, tok_of):
+        for m_str, level in doc["counts"].items():
+            if not isinstance(level, dict):
+                continue
+            m = int(m_str)
+            loop = _level_outcome(ngram._checked_level, m, level, tok_of)
+            assert _level_outcome(ngram._parse_level, m, level, tok_of) == loop
+            bulk = ngram._bulk_level(m, level, tok_of)
+            if bulk is not None:
+                assert loop == _level_outcome(lambda *_: bulk, m, level, tok_of)
+
+    @settings(max_examples=300)
+    @given(model_documents(), st.data())
+    def test_single_edits(self, document, data):
+        doc, tok_of = document
+        m_str = data.draw(st.sampled_from(sorted(doc["counts"])))
+        level = doc["counts"][m_str]
+        key = data.draw(st.sampled_from(sorted(level)))
+        toks = sorted(level[key])
+        kind = data.draw(st.sampled_from(["count", "token", "context", "counts of a context", "row total", "extra"]))
+        if kind == "count":
+            edited = _edit(doc, ["counts", m_str, key, data.draw(st.sampled_from(toks))],
+                           data.draw(st.sampled_from(self.VALUES)))
+        elif kind == "token":
+            edited = _edit(doc, ["counts", m_str, key, ("rename", data.draw(st.sampled_from(toks)))],
+                           data.draw(st.sampled_from(self.KEYS)))
+        elif kind == "context":
+            edited = _edit(doc, ["counts", m_str, ("rename", key)], data.draw(st.sampled_from(self.KEYS)))
+        elif kind == "counts of a context":
+            edited = _edit(doc, ["counts", m_str, key], data.draw(st.sampled_from(self.VALUES)))
+        elif kind == "row total":  # just past 2^63 - 1, or at it
+            top = data.draw(st.sampled_from([2**62, 2**62 - 1, 2**63 - 1]))
+            edited = _edit(doc, ["counts", m_str, key], {t: top if i == 0 else 2**62 for i, t in enumerate(toks)})
+        else:  # one more context, its key drawn like a renamed one
+            edited = _edit(doc, ["counts", m_str, data.draw(st.sampled_from(self.KEYS))], {toks[0]: 1})
+        self._check_every_level(edited, tok_of)
+
+    @settings(max_examples=150)
+    @given(model_documents())
+    def test_real_documents_never_reach_the_loop(self, document):
+        doc, tok_of = document
+        self._check_every_level(doc, tok_of)
+        text = json.dumps(doc, sort_keys=True, indent=2)
+        with patch.object(ngram, "_checked_level", _loop_must_not_run):
+            assert _dumps(NGramModel.from_json_dict(json.loads(text))) == text
+
+    def test_a_benchmark_sized_document_never_reaches_the_loop(self):
+        text = ("the cat sat on the mat. a hat, 42 rats ran.¶ " * 400)[:15_000]
+        model = train_ngram(tokenize(text), 5, 0.1)
+        with patch.object(ngram, "_checked_level", _loop_must_not_run):
+            assert _dumps(NGramModel.from_json_dict(model.to_json_dict())) == _dumps(model)
+
+    @pytest.mark.parametrize(
+        "table, refusal",
+        [
+            ({"0": 2**62, "1": 2**62}, "counts of context '' sum past 2^63 - 1"),
+            ({"0": 2**63 - 1, "1": 1}, "counts of context '' sum past 2^63 - 1"),
+            ({"0": 2**63, "1": 1}, "bad count entry '0': 9223372036854775808"),
+            ({"0": 1, "1": -2**63}, "bad count entry '1': -9223372036854775808"),
+            ({"0": 2**62, "1": 2**62 - 1}, None),  # at 2^63 - 1: the bulk pass leaves it to the loop, which loads it
+        ],
+        ids=["total-2^63", "total-2^63-via-max", "count-2^63", "count--2^63", "total-2^63-1"],
+    )
+    def test_counts_at_the_int64_edges(self, table, refusal):
+        tok_of = {str(t): t for t in range(3)}
+        assert ngram._bulk_level(1, {"": table}, tok_of) is None
+        outcome = _level_outcome(ngram._parse_level, 1, {"": table}, tok_of)
+        assert outcome == _level_outcome(ngram._checked_level, 1, {"": table}, tok_of)
+        if refusal is None:
+            assert outcome[0] == "level" and sum(np.frombuffer(outcome[4], dtype=np.int64).tolist()) == 2**63 - 1
+        else:
+            assert outcome == ("error", refusal)
 
 
 class TestCountCellCap:
