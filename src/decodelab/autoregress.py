@@ -124,6 +124,11 @@ def generate(
     in the output) or when ``max_len`` tokens have been produced.  The result
     is fully determined by (model, cfg incl. seed, prompt, max_len,
     capacity).
+
+    Each token is one :func:`run_pipeline` call on a memo that this call
+    owns and drops when it returns: a recurring context gives the same
+    logits, which are staged once and then only drawn from, and its tokens'
+    traces share one set of stage records.  Nothing is kept between calls.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1 (got {max_len})")
@@ -133,9 +138,10 @@ def generate(
     out: list[TokenId] = []
     traces: list[SampleTrace] = []
     stop_reason = STOP_MAX_LEN
+    memo: dict = {}
     for _ in range(max_len):
         z = model.logits_for(buffer.tokens)
-        token, trace = run_pipeline(z, cfg, rng)
+        token, trace = run_pipeline(z, cfg, rng, memo=memo)
         out.append(token)
         traces.append(trace)
         buffer = buffer.push(token)

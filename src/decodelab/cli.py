@@ -237,7 +237,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for run_id, ((temp, k, top_p, min_p), cfg) in enumerate(zip(grid, cfgs)):
             result = generate(model, cfg, prompt, max_len=p["max_len"], capacity=p["context"])
             finals = [t.final for t in result.traces]
-            mean_entropy = float(np.mean([entropy(f) for f in finals]))
+            # Tokens drawn from one memoized pair share its final record: take its entropy once.
+            distinct = {id(f): f for f in finals}
+            entropies = {key: entropy(f) for key, f in distinct.items()}
+            mean_entropy = float(np.mean([entropies[id(f)] for f in finals]))
             mean_survivors = float(np.mean([f.survivor_count for f in finals]))
             output_text = detokenize(result.output_tokens, model.alphabet)
             rows.append([run_id, temp, k, top_p, min_p, cfg.seed, mean_entropy, mean_survivors, output_text])

@@ -25,7 +25,8 @@ mode: the pipeline is bypassed and the most probable token under
 every row of a logit matrix under one config, optionally with a top-k per
 row, in a single array pass, with the same arithmetic per row, so each
 row's token and trace are those of :func:`run_pipeline` given the same
-uniform and that row's k.
+uniform and that row's k.  Given a memo, :func:`run_pipeline` stages a
+recurring ``(logits, config)`` pair once and only draws on later calls.
 
 Randomness comes from :class:`RandomStream`, a Philox (4x64)
 counter-based generator.  The algorithm identity is part of the external
@@ -264,7 +265,7 @@ class SampleTrace:
         """The softmax stage's argmax in argmax mode, else the final stage's draw at ``drawn_uniform``."""
         if self.argmax_mode:
             return argmax_onehot(self.stages[0])
-        return _inverse_cdf(self.final.masses, self.final.index_map, self.drawn_uniform)
+        return _pick(_cdf(self.final.masses, self.final.index_map), self.drawn_uniform)
 
     def to_json_dict(self) -> dict:
         return {
@@ -408,13 +409,20 @@ def min_p_filter(dist: ProbabilityDistribution, min_p: float) -> ProbabilityDist
     return ProbabilityDistribution._unchecked(kept / np.add.reduce(kept), index_map[keep])
 
 
-def _inverse_cdf(masses: np.ndarray, index_map: np.ndarray, u: float) -> TokenId:
-    # Restore ascending original token order before the cumulative sum, then
-    # return the first index whose cumulative mass exceeds the uniform.
-    if masses.size == 1:
-        return int(index_map[0])
+def _cdf(masses: np.ndarray, index_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The survivors' cumulative masses in ascending original token order, and
+    # the token at each position: what the inverse-CDF draw searches.
+    if masses.size == 1:  # _pick draws the one survivor without a search
+        return masses, index_map
     masses, index_map = by_token_index(masses, index_map)
-    cum = np.add.accumulate(masses)
+    return np.add.accumulate(masses), index_map
+
+
+def _pick(cdf: tuple[np.ndarray, np.ndarray], u: float) -> TokenId:
+    # The first token whose cumulative mass exceeds the uniform.
+    cum, index_map = cdf
+    if cum.size == 1:
+        return int(index_map[0])
     pos = int(cum.searchsorted(u, "right"))
     if pos >= cum.size:  # u beyond a rounded-down total
         pos = cum.size - 1
@@ -437,12 +445,52 @@ def _trace(stages: tuple[StageRecord, ...], token: TokenId, u: float | None) -> 
     return trace
 
 
+#: What every stage before the draw leaves for it, a function of the logits and
+#: the four knobs alone: the stage records (None untraced), then the argmax
+#: token and None in argmax mode, or None and the final stage's token-order
+#: CDF with its index map.
+_Staged = tuple[tuple[StageRecord, ...] | None, TokenId | None, tuple[np.ndarray, np.ndarray] | None]
+
+
+def _staged(z: np.ndarray, cfg: SamplerConfig, want_trace: bool = True) -> _Staged:
+    if cfg.temperature == 0.0:
+        p = softmax_masses(z, 1.0)
+        token = int(p.argmax())  # the first maximum: ties go to the lowest index
+        if not want_trace:
+            return None, token, None
+        p.setflags(write=False)
+        return (_record(STAGE_SOFTMAX, p, token_ids(p.size)),), token, None
+
+    p = softmax_masses(z, cfg.temperature)
+    # The index map is 0..D-1 here, so a stable sort of -p orders ties by
+    # ascending token index, exactly as sort_descending does.
+    order = (-p).argsort(kind="stable")
+    ranked = ProbabilityDistribution._unchecked(p[order], order)
+    # Each truncation stays one call of its public stage function, so its
+    # arithmetic exists once and a tracer can count its calls and no-ops.
+    p1 = top_k_filter(ranked, cfg.top_k)
+    p2 = top_p_filter(p1, cfg.top_p)
+    p3 = min_p_filter(p2, cfg.min_p)
+    cdf = _cdf(p3.masses, p3.index_map)
+    if not want_trace:
+        return None, None, cdf
+    p.setflags(write=False)
+    stages = (
+        _record(STAGE_SOFTMAX, p, token_ids(p.size)),
+        _record(STAGE_TOP_K, p1.masses, p1.index_map),
+        _record(STAGE_TOP_P, p2.masses, p2.index_map),
+        _record(STAGE_MIN_P, p3.masses, p3.index_map),
+    )
+    return stages, None, cdf
+
+
 def run_pipeline(
     z: Sequence[float] | np.ndarray,
     cfg: SamplerConfig,
     rng: RandomStream,
     *,
     want_trace: bool = True,
+    memo: dict[tuple, _Staged] | None = None,
 ) -> tuple[TokenId, SampleTrace | None]:
     """Run the full staged pipeline on a logit vector and draw one token.
 
@@ -455,38 +503,29 @@ def run_pipeline(
     ``want_trace=False`` skips building the trace objects (the hot-path
     switch for large sweeps) without changing any computed value or the
     random stream position.
+
+    ``memo``, a dict the caller owns and starts empty, keeps the stages of
+    every ``(logits, config)`` pair it has seen, keyed by the four knobs and
+    the bytes of the logits, never by the array's identity.  A pair seen
+    before is not staged again: the call draws one uniform (none in argmax
+    mode) on the stored token-order CDF, and its trace shares the stored
+    read-only stage records.  Tokens, trace bytes and the stream position
+    are those of a call without a memo.
     """
     z = as_logits(z)
-    if cfg.temperature == 0.0:
-        p = softmax_masses(z, 1.0)
-        token = int(p.argmax())  # the first maximum: ties go to the lowest index
-        if not want_trace:
-            return token, None
-        p.setflags(write=False)
-        return token, _trace((_record(STAGE_SOFTMAX, p, token_ids(p.size)),), token, None)
-
-    p = softmax_masses(z, cfg.temperature)
-    # The index map is 0..D-1 here, so a stable sort of -p orders ties by
-    # ascending token index, exactly as sort_descending does.
-    order = (-p).argsort(kind="stable")
-    ranked = ProbabilityDistribution._unchecked(p[order], order)
-    # Each truncation stays one call of its public stage function, so its
-    # arithmetic exists once and a tracer can count its calls and no-ops.
-    p1 = top_k_filter(ranked, cfg.top_k)
-    p2 = top_p_filter(p1, cfg.top_p)
-    p3 = min_p_filter(p2, cfg.min_p)
-    u = rng.next_uniform()
-    token = _inverse_cdf(p3.masses, p3.index_map, u)
-    if not want_trace:
-        return token, None
-    p.setflags(write=False)
-    stages = (
-        _record(STAGE_SOFTMAX, p, token_ids(p.size)),
-        _record(STAGE_TOP_K, p1.masses, p1.index_map),
-        _record(STAGE_TOP_P, p2.masses, p2.index_map),
-        _record(STAGE_MIN_P, p3.masses, p3.index_map),
-    )
-    return token, _trace(stages, token, u)
+    if memo is None:
+        stages, token, cdf = _staged(z, cfg, want_trace)
+    else:
+        key = (cfg.temperature, cfg.top_k, cfg.top_p, cfg.min_p, z.tobytes())
+        staged = memo.get(key)
+        if staged is None:
+            staged = memo[key] = _staged(z, cfg)
+        stages, token, cdf = staged
+    u = None
+    if cdf is not None:  # argmax mode draws nothing
+        u = rng.next_uniform()
+        token = _pick(cdf, u)
+    return token, _trace(stages, token, u) if want_trace else None
 
 
 def _cut_rows(masses: np.ndarray, kept: np.ndarray, before: np.ndarray | int) -> np.ndarray:

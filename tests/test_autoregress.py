@@ -2,21 +2,24 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decodelab import (
     STOP_EOS,
     STOP_MAX_LEN,
     ContextBuffer,
+    RandomStream,
     SamplerConfig,
     default_alphabet,
     detokenize,
     generate,
     replay,
+    run_pipeline,
     tokenize,
     train_ngram,
 )
+from decodelab import sampler
 from decodelab.sampler import spell_traces
 
 A = default_alphabet()
@@ -127,6 +130,71 @@ class TestGenerate:
         long_prompt = tokenize("bbbbbbba")
         result = generate(model, K1, long_prompt, max_len=1, capacity=4)
         assert detokenize(result.output_tokens) == "b"
+
+
+def unmemoized_generate(model, cfg, prompt, max_len, capacity):
+    """generate as a plain per-token loop: every token staged by run_pipeline without a memo."""
+    buffer = ContextBuffer.from_tokens(prompt, capacity)
+    rng = RandomStream(cfg.seed)
+    out, traces = [], []
+    for _ in range(max_len):
+        token, trace = run_pipeline(model.logits_for(buffer.tokens), cfg, rng)
+        out.append(token)
+        traces.append(trace)
+        buffer = buffer.push(token)
+        if token == model.alphabet.eos_index:
+            return tuple(out), traces, STOP_EOS
+    return tuple(out), traces, STOP_MAX_LEN
+
+
+# Tiny alphabets and low orders, so that contexts (and so logit vectors) recur.
+small_corpora = st.text(alphabet="ab ¶", min_size=3, max_size=24)
+memo_configs = st.builds(
+    SamplerConfig,
+    temperature=st.one_of(st.just(0.0), st.sampled_from([0.3, 1.0, 2.5]), st.floats(min_value=0.05, max_value=5.0)),
+    top_k=st.one_of(st.just(1), st.integers(min_value=1, max_value=40)),
+    top_p=st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.0)),
+    min_p=st.one_of(st.sampled_from([0.0, 0.6]), st.floats(min_value=0.0, max_value=0.9)),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+
+
+class TestMemoizedGenerate:
+    """generate stages each recurring (logits, config) pair once; its output must
+    be that of the unmemoized per-token loop: tokens, stop reason and trace bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_corpora, st.integers(min_value=1, max_value=3), st.sampled_from([0.0, 0.05, 1.0]), memo_configs,
+           st.text(alphabet="ab ", max_size=4), st.integers(min_value=1, max_value=60),
+           st.integers(min_value=1, max_value=6))
+    def test_matches_the_unmemoized_loop(self, corpus, order, alpha, cfg, prompt, max_len, capacity):
+        model = train_ngram(tokenize(corpus), order=order, alpha=alpha)
+        result = generate(model, cfg, tokenize(prompt), max_len=max_len, capacity=capacity)
+        tokens, traces, stop_reason = unmemoized_generate(model, cfg, tokenize(prompt), max_len, capacity)
+        assert (result.output_tokens, result.stop_reason) == (tokens, stop_reason)
+        assert spell_traces(result.traces, 1) == spell_traces(traces, 1)
+
+    def test_eos_stop_matches_the_unmemoized_loop(self):
+        # "ab¶" at order 3 emits b then EOS under k = 1
+        model = train_ngram(tokenize("ab¶ab¶"), order=3, alpha=0.0)
+        for cfg in (K1, SamplerConfig(0.0, 40, 1.0, 0.0), SamplerConfig(1.0, 40, 1.0, 0.6, seed=2)):
+            result = generate(model, cfg, tokenize("a"), max_len=50)
+            tokens, traces, stop_reason = unmemoized_generate(model, cfg, tokenize("a"), 50, 64)
+            assert result.stop_reason == stop_reason == STOP_EOS
+            assert result.output_tokens == tokens
+            assert spell_traces(result.traces, 0) == spell_traces(traces, 0)
+
+    def test_a_recurring_context_is_staged_once_per_call(self, monkeypatch):
+        staged = []
+        top_k = sampler.top_k_filter
+        monkeypatch.setattr(sampler, "top_k_filter", lambda d, k: staged.append(k) or top_k(d, k))
+        model = train_ngram(tokenize("abab"), order=2, alpha=0.0)
+        result = generate(model, SamplerConfig(1.0, 5, 1.0, 0.0, seed=3), tokenize("a"), max_len=30)
+        assert detokenize(result.output_tokens) == "ba" * 15
+        assert len(staged) == 2  # one context after 'a', one after 'b'
+        assert result.traces[0].stages is result.traces[2].stages
+        generate(model, SamplerConfig(1.0, 5, 1.0, 0.0, seed=3), tokenize("a"), max_len=30)
+        assert len(staged) == 4  # no state outlives a call: the next one stages both again
 
 
 class TestReplay:

@@ -543,7 +543,9 @@ class TestKernelByteIdentity:
     def test_generate_trace_and_sweep_csv_match_the_reference(self, tmp_path, model_file, capsys, monkeypatch):
         shipped = self._artifacts(tmp_path, model_file, capsys, monkeypatch, "shipped")
         with monkeypatch.context() as m:
-            m.setattr(autoregress, "run_pipeline", reference_run_pipeline)
+            m.setattr(autoregress, "run_pipeline",  # the frozen pipeline takes no memo: it stages every token
+                      lambda z, cfg, rng, *, want_trace=True, memo=None: reference_run_pipeline(
+                          z, cfg, rng, want_trace=want_trace))
             # the sweep's entropy as it was taken before: from a validated distribution
             m.setattr(cli, "entropy", lambda f: entropy(ProbabilityDistribution(f.masses, f.index_map)))
             reference = self._artifacts(tmp_path, model_file, capsys, m, "reference")

@@ -736,6 +736,78 @@ class TestKernelMatchesReference:
                 reference_run_pipeline(bad, SamplerConfig(1.0, 3), RandomStream(0))
 
 
+class TestPipelineMemo:
+    """run_pipeline with a caller-owned memo against the same calls without one:
+    the same tokens, trace bytes and stream position, call for call."""
+
+    @staticmethod
+    def _pair(calls, seed=21):
+        # calls: (z, cfg) pairs, each taken by value at its call, on one memo and without one
+        memo, ours_rng, ref_rng = {}, RandomStream(seed), RandomStream(seed)
+        ours, ref = [], []
+        for z, cfg in calls:
+            ours.append(run_pipeline(z, cfg, ours_rng, memo=memo))
+            ref.append(run_pipeline(np.array(z), cfg, ref_rng))
+        assert [t for t, _ in ours] == [t for t, _ in ref]
+        assert spell_traces([tr for _, tr in ours], 0) == spell_traces([tr for _, tr in ref], 0)
+        assert ours_rng.next_uniform() == ref_rng.next_uniform()
+        return memo, [tr for _, tr in ours]
+
+    def test_a_logit_vector_changed_in_place_is_staged_afresh(self):
+        z = np.linspace(2.0, -2.0, 12)  # writable: the memo must key on its content
+        cfg = SamplerConfig(0.9, 6, 0.9, 0.0)
+        memo, ours_rng, ref_rng = {}, RandomStream(4), RandomStream(4)
+        before = run_pipeline(z, cfg, ours_rng, memo=memo)
+        assert before[0] == run_pipeline(z.copy(), cfg, ref_rng)[0]
+        z[[0, -1]] = z[[-1, 0]]  # the most likely token is now the last
+        after, ref = run_pipeline(z, cfg, ours_rng, memo=memo), run_pipeline(z.copy(), cfg, ref_rng)
+        assert after[0] == ref[0] and after[1].stages[1].index_map[0] == 11
+        assert spell_traces([after[1]], 0) == spell_traces([ref[1]], 0)
+        assert len(memo) == 2
+
+    def test_one_memo_keeps_two_configs_apart(self):
+        z = np.array([1.0, 0.5, 0.2, -0.3, -1.0])
+        wide, narrow = SamplerConfig(1.0, 5, 1.0, 0.0), SamplerConfig(1.0, 2, 1.0, 0.0)
+        memo, traces = self._pair([(z, wide), (z, narrow), (z, wide), (z, narrow)])
+        assert len(memo) == 2
+        assert [t.final.survivor_count for t in traces] == [5, 2, 5, 2]
+
+    @pytest.mark.parametrize("cfg", [
+        SamplerConfig(0.8, 3, 0.9, 0.05),
+        SamplerConfig(0.0, 3, 0.9, 0.05),  # argmax mode: a hit draws nothing either
+        SamplerConfig(1.0, 1, 1.0, 0.0),  # one survivor
+        SamplerConfig(1.0, 6, 1.0, 0.6),  # the min-p single-survivor fallback
+    ])
+    def test_a_hit_draws_as_many_uniforms_as_a_miss(self, cfg):
+        z = np.array([0.3, 0.3, 0.1, -0.2, -0.2, -1.0])
+        memo, traces = self._pair([(z, cfg)] * 3)
+        assert len(memo) == 1
+        assert all(a is b for t in traces[1:] for a, b in zip(t.stages, traces[0].stages))
+        assert len({id(t) for t in traces}) == 3  # a fresh trace per call, sharing the records
+        assert all(not s.masses.flags.writeable for s in traces[0].stages)
+        rng = RandomStream(21)
+        run_pipeline(z, cfg, rng, memo={})
+        uniforms = [rng.next_uniform() for _ in range(2)]
+        assert [t.drawn_uniform for t in traces[1:]] == ([None, None] if cfg.temperature == 0 else uniforms)
+
+    def test_untraced_hits_draw_what_traced_ones_do(self):
+        z, cfg = np.array([0.5, 0.1, 0.0, -0.4]), SamplerConfig(1.3, 4, 0.95, 0.1)
+        memo, rng, ref_rng = {}, RandomStream(8), RandomStream(8)
+        for want_trace in (False, True, False):
+            token, trace = run_pipeline(z, cfg, rng, want_trace=want_trace, memo=memo)
+            assert token == run_pipeline(z, cfg, ref_rng)[0]
+            assert (trace is None) == (not want_trace)
+        assert rng.next_uniform() == ref_rng.next_uniform()
+
+    def test_refuses_what_the_unmemoized_call_refuses(self):
+        memo = {}
+        run_pipeline([0.0, 1.0], SamplerConfig(1.0, 3), RandomStream(0), memo=memo)
+        for bad in ([], [[0.0, 1.0]], [0.0, float("nan")], [float("inf"), 0.0]):
+            with pytest.raises(ValueError):
+                run_pipeline(bad, SamplerConfig(1.0, 3), RandomStream(0), memo=memo)
+        assert len(memo) == 1
+
+
 class ScriptedStream:
     """Stands in for a RandomStream: hands out a fixed list of uniforms, so a
     test can reach values a seed rarely gives (0.0, the largest double below 1)."""
