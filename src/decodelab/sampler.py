@@ -365,8 +365,7 @@ def top_k_filter(sorted_dist: ProbabilityDistribution, k: int) -> ProbabilityDis
         raise ValueError(f"top_k must satisfy k >= 1 (got {k})")
     if k >= sorted_dist.masses.size:
         return sorted_dist
-    kept = sorted_dist.masses[:k]
-    return ProbabilityDistribution._unchecked(kept / np.add.reduce(kept), sorted_dist.index_map[:k])
+    return _renormalized(sorted_dist.masses[:k], sorted_dist.index_map[:k])
 
 
 def top_p_filter(sorted_dist: ProbabilityDistribution, top_p: float) -> ProbabilityDistribution:
@@ -382,8 +381,7 @@ def top_p_filter(sorted_dist: ProbabilityDistribution, top_p: float) -> Probabil
     cut = int(np.add.accumulate(masses).searchsorted(top_p)) + 1
     if cut >= masses.size:
         return sorted_dist
-    kept = masses[:cut]
-    return ProbabilityDistribution._unchecked(kept / np.add.reduce(kept), sorted_dist.index_map[:cut])
+    return _renormalized(masses[:cut], sorted_dist.index_map[:cut])
 
 
 def min_p_filter(dist: ProbabilityDistribution, min_p: float) -> ProbabilityDistribution:
@@ -405,8 +403,12 @@ def min_p_filter(dist: ProbabilityDistribution, min_p: float) -> ProbabilityDist
         return dist
     if survivors == 0:
         return ProbabilityDistribution._unchecked(np.array([1.0]), np.array([argmax_onehot(dist)]))
-    kept = masses[keep]
-    return ProbabilityDistribution._unchecked(kept / np.add.reduce(kept), index_map[keep])
+    return _renormalized(masses[keep], index_map[keep])
+
+
+def _renormalized(kept: np.ndarray, index_map: np.ndarray) -> ProbabilityDistribution:
+    # The one 1-D renormalization of survivors: its bits are every truncation's trace bytes.
+    return ProbabilityDistribution._unchecked(kept / np.add.reduce(kept), index_map)
 
 
 def _cdf(masses: np.ndarray, index_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -418,8 +420,8 @@ def _cdf(masses: np.ndarray, index_map: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.add.accumulate(masses), index_map
 
 
-def _pick(cdf: tuple[np.ndarray, np.ndarray], u: float) -> TokenId:
-    # The first token whose cumulative mass exceeds the uniform.
+def _pick(cdf: tuple[np.ndarray, np.ndarray], u: float | None) -> TokenId:
+    # The first token whose cumulative mass exceeds u; a lone survivor needs no u.
     cum, index_map = cdf
     if cum.size == 1:
         return int(index_map[0])
@@ -446,22 +448,22 @@ def _trace(stages: tuple[StageRecord, ...], token: TokenId, u: float | None) -> 
 
 
 #: What every stage before the draw leaves for it, a function of the logits and
-#: the four knobs alone: the stage records (None untraced), then the argmax
-#: token and None in argmax mode, or None and the final stage's token-order
-#: CDF with its index map.
-_Staged = tuple[tuple[StageRecord, ...] | None, TokenId | None, tuple[np.ndarray, np.ndarray] | None]
+#: the four knobs alone: the read-only stage records and the final stage's
+#: token-order CDF with its index map (in argmax mode, the one survivor).
+_Staged = tuple[tuple[StageRecord, ...], tuple[np.ndarray, np.ndarray]]
 
 
-def _staged(z: np.ndarray, cfg: SamplerConfig, want_trace: bool = True) -> _Staged:
+def _staged(z: Sequence[float] | np.ndarray, cfg: SamplerConfig) -> _Staged:
+    z = as_logits(z)
     if cfg.temperature == 0.0:
         p = softmax_masses(z, 1.0)
-        token = int(p.argmax())  # the first maximum: ties go to the lowest index
-        if not want_trace:
-            return None, token, None
         p.setflags(write=False)
-        return (_record(STAGE_SOFTMAX, p, token_ids(p.size)),), token, None
+        ids = token_ids(p.size)
+        best = int(p.argmax())  # the first maximum: ties go to the lowest index
+        return (_record(STAGE_SOFTMAX, p, ids),), (p[best : best + 1], ids[best : best + 1])
 
     p = softmax_masses(z, cfg.temperature)
+    p.setflags(write=False)
     # The index map is 0..D-1 here, so a stable sort of -p orders ties by
     # ascending token index, exactly as sort_descending does.
     order = (-p).argsort(kind="stable")
@@ -471,17 +473,13 @@ def _staged(z: np.ndarray, cfg: SamplerConfig, want_trace: bool = True) -> _Stag
     p1 = top_k_filter(ranked, cfg.top_k)
     p2 = top_p_filter(p1, cfg.top_p)
     p3 = min_p_filter(p2, cfg.min_p)
-    cdf = _cdf(p3.masses, p3.index_map)
-    if not want_trace:
-        return None, None, cdf
-    p.setflags(write=False)
     stages = (
         _record(STAGE_SOFTMAX, p, token_ids(p.size)),
         _record(STAGE_TOP_K, p1.masses, p1.index_map),
         _record(STAGE_TOP_P, p2.masses, p2.index_map),
         _record(STAGE_MIN_P, p3.masses, p3.index_map),
     )
-    return stages, None, cdf
+    return stages, _cdf(p3.masses, p3.index_map)
 
 
 def run_pipeline(
@@ -496,35 +494,33 @@ def run_pipeline(
 
     Executes softmax(z, T), sort, top-k, top-p, min-p (each truncation
     followed by renormalization), restores original token order, and draws.
-    With ``cfg.temperature == 0`` the sampling stages are bypassed entirely
-    and the argmax of ``softmax(z, 1)`` is returned with a trace marked
-    ``argmax_mode`` (no uniform is consumed).
+    With ``cfg.temperature == 0`` the sampling stages are bypassed entirely:
+    the argmax of ``softmax(z, 1)`` is the one survivor, drawn without a
+    uniform, and the trace is marked ``argmax_mode``.
 
-    ``want_trace=False`` skips building the trace objects (the hot-path
-    switch for large sweeps) without changing any computed value or the
+    ``want_trace=False`` returns None for the trace: it skips only building
+    the :class:`SampleTrace` object and changes no computed value or the
     random stream position.
 
     ``memo``, a dict the caller owns and starts empty, keeps the stages of
     every ``(logits, config)`` pair it has seen, keyed by the four knobs and
-    the bytes of the logits, never by the array's identity.  A pair seen
-    before is not staged again: the call draws one uniform (none in argmax
-    mode) on the stored token-order CDF, and its trace shares the stored
-    read-only stage records.  Tokens, trace bytes and the stream position
-    are those of a call without a memo.
+    the shape and bytes of the logits as float64, never by the array's
+    identity.  A pair seen before is neither checked nor staged again: the
+    call draws one uniform (none in argmax mode) on the stored token-order
+    CDF, and its trace shares the stored read-only stage records.  Tokens,
+    trace bytes and the stream position are those of a call without a memo.
     """
-    z = as_logits(z)
     if memo is None:
-        stages, token, cdf = _staged(z, cfg, want_trace)
+        stages, cdf = _staged(z, cfg)
     else:
-        key = (cfg.temperature, cfg.top_k, cfg.top_p, cfg.min_p, z.tobytes())
+        z = np.asarray(z, dtype=np.float64)
+        key = (cfg.temperature, cfg.top_k, cfg.top_p, cfg.min_p, z.shape, z.tobytes())
         staged = memo.get(key)
         if staged is None:
             staged = memo[key] = _staged(z, cfg)
-        stages, token, cdf = staged
-    u = None
-    if cdf is not None:  # argmax mode draws nothing
-        u = rng.next_uniform()
-        token = _pick(cdf, u)
+        stages, cdf = staged
+    u = None if cfg.temperature == 0.0 else rng.next_uniform()
+    token = _pick(cdf, u)
     return token, _trace(stages, token, u) if want_trace else None
 
 

@@ -1,8 +1,10 @@
 """Shared test plumbing.
 
 Registers the ``criterion`` marker used by the acceptance suite and prints
-one PASS/FAIL line per criterion at the end of the run.  Also pins a
-deterministic hypothesis profile so property tests are reproducible.
+one PASS/FAIL line per criterion at the end of the run, with the call
+phase's duration, so each run records how near a timed criterion is to
+its bound.  Also pins a deterministic hypothesis profile so property
+tests are reproducible.
 """
 
 import pytest
@@ -17,7 +19,7 @@ settings.register_profile(
 )
 settings.load_profile("repro")
 
-_ACCEPTANCE: dict[int, tuple[str, bool]] = {}
+_ACCEPTANCE: dict[int, tuple[str, bool, float | None]] = {}
 
 
 def pytest_configure(config):
@@ -33,9 +35,9 @@ def pytest_runtest_makereport(item, call):
         return
     number, label = marker.args
     if report.when == "call":
-        _ACCEPTANCE[number] = (label, report.passed)
+        _ACCEPTANCE[number] = (label, report.passed, report.duration)
     elif report.when == "setup" and report.failed:
-        _ACCEPTANCE[number] = (label, False)
+        _ACCEPTANCE[number] = (label, False, None)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -43,6 +45,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         return
     terminalreporter.section("acceptance criteria")
     for number in sorted(_ACCEPTANCE):
-        label, passed = _ACCEPTANCE[number]
+        label, passed, duration = _ACCEPTANCE[number]
         verdict = "PASS" if passed else "FAIL"
-        terminalreporter.write_line(f"criterion {number:2d} [{verdict}] {label}")
+        timing = "" if duration is None else f" ({duration:.1f} s)"
+        terminalreporter.write_line(f"criterion {number:2d} [{verdict}] {label}{timing}")

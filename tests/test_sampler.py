@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -32,6 +32,7 @@ from decodelab import (
     top_k_filter,
     top_p_filter,
 )
+from decodelab import sampler
 from decodelab.sampler import spell_traces
 
 
@@ -735,6 +736,33 @@ class TestKernelMatchesReference:
             with pytest.raises(ValueError):
                 reference_run_pipeline(bad, SamplerConfig(1.0, 3), RandomStream(0))
 
+    @settings(max_examples=200)
+    @given(differential_logits, differential_configs)
+    @example(np.zeros(7), SamplerConfig(1.0, 7, 1.0, 0.5, seed=3))  # min-p falls back to token 0
+    @example(np.array([1.0, 3.0, 3.0, 0.0]), SamplerConfig(1.0, 10, 1.0, 0.9, seed=4))  # fallback, tied maxima
+    @example(np.array([1.0, 3.0, 3.0, 0.0]), SamplerConfig(0.0, 2, 0.5, 0.0, seed=5))  # argmax mode, tied maxima
+    @example(np.array([2.0]), SamplerConfig(0.0, 1, 1.0, 0.0, seed=6))  # argmax mode, one token
+    def test_fresh_and_warm_memos_match_the_reference(self, z, cfg):
+        # A fresh memo stages the pair; a warm one, filled from a copy of z by a
+        # call in the other trace mode on another stream, only draws.
+        for want_trace in (True, False):
+            ref_rng = RandomStream(cfg.seed)
+            with np.errstate(over="ignore"):
+                ref_token, ref_trace = reference_run_pipeline(z, cfg, ref_rng, want_trace=want_trace)
+                warm = {}
+                run_pipeline(np.array(z), cfg, RandomStream(0), want_trace=not want_trace, memo=warm)
+            ref_pos = ref_rng.next_uniform()
+            for memo in ({}, warm):
+                rng = RandomStream(cfg.seed)
+                with np.errstate(over="ignore"):
+                    token, trace = run_pipeline(z, cfg, rng, want_trace=want_trace, memo=memo)
+                assert (token, rng.next_uniform()) == (ref_token, ref_pos)
+                assert len(memo) == 1
+                if want_trace:
+                    assert spell_traces([trace], 0) == spell_traces([ref_trace], 0)
+                else:
+                    assert trace is None
+
 
 class TestPipelineMemo:
     """run_pipeline with a caller-owned memo against the same calls without one:
@@ -806,6 +834,17 @@ class TestPipelineMemo:
             with pytest.raises(ValueError):
                 run_pipeline(bad, SamplerConfig(1.0, 3), RandomStream(0), memo=memo)
         assert len(memo) == 1
+
+    def test_a_hit_does_not_check_the_logits_again(self, monkeypatch):
+        a, b = np.linspace(1.0, -1.0, 5), np.array([0.5, 0.0, -0.5])
+        cfg = SamplerConfig(0.9, 4, 0.95, 0.0)
+        calls = [(a, cfg), (b, cfg), (a.copy(), cfg), (list(b), cfg), (a, replace(cfg, temperature=0.0)), (a, cfg)]
+        checked, check = [], sampler.as_logits
+        monkeypatch.setattr(sampler, "as_logits", lambda z: checked.append(z) or check(z))
+        memo, rng = {}, RandomStream(5)
+        for z, c in calls:
+            run_pipeline(z, c, rng, memo=memo)
+        assert len(memo) == len(checked) == 3  # one check per distinct pair
 
 
 class ScriptedStream:
