@@ -36,7 +36,7 @@ import numpy as np
 from . import jsonvalues
 from .autoregress import DEFAULT_CAPACITY, generate
 from .framesim import build_world, frame_to_pgm, k_sweep, novelty_curve, random_frame
-from .ngram import ModelFormatError, NGramModel, detokenize, tokenize, train_ngram
+from .ngram import ModelFormatError, NGramModel, _token_array, detokenize, tokenize, train_ngram
 from .probcore import entropy
 from .sampler import SamplerConfig, derive_seed
 
@@ -198,7 +198,7 @@ def _phase(name: str):
 def cmd_train(args: argparse.Namespace) -> int:
     p = _merged_params(args, "train")
     with _phase("train: read"):
-        corpus = tokenize(Path(args.corpus).read_text(encoding="utf-8"))
+        corpus = _token_array(Path(args.corpus).read_text(encoding="utf-8"))
     with _phase("train: train"):
         model = train_ngram(corpus, order=p["order"], alpha=p["alpha"])
     with _phase("train: write"):

@@ -178,6 +178,15 @@ def array_parts(items: Iterable[str], depth: int) -> Iterator[str]:
     yield closing
 
 
+def brackets(pair: str, depth: int) -> tuple[str, str, str]:
+    """``(opening, separator, closing)`` of a block at nesting level ``depth``,
+    an object for ``pair`` ``"{}"`` and an array for ``"[]"``: what
+    :func:`spell_object` and :func:`spell_array` put before the first part,
+    between two parts and after the last, for a writer that lays out many
+    blocks in one join."""
+    return _BRACKETS[pair][depth]
+
+
 class _Brackets(dict):
     """``(opening, separator, closing)`` of a block at each depth: the bracket
     and line break before its first part, the comma and line break between
@@ -195,7 +204,8 @@ class _Brackets(dict):
         return spelled
 
 
-_OBJECT, _ARRAY = _Brackets("{}"), _Brackets("[]")
+_BRACKETS = {pair: _Brackets(pair) for pair in ("{}", "[]")}
+_OBJECT, _ARRAY = _BRACKETS["{}"], _BRACKETS["[]"]
 
 
 def dumps(x) -> str:

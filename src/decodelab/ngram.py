@@ -36,6 +36,8 @@ the refusal, naming the first bad entry.
 
 Tokenization is per character: uppercase folds to lowercase, anything
 outside the alphabet maps to the blank token, one token per input character.
+The text's code points are mapped through a table indexed by code point, so
+each distinct character is folded and looked up once.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jsonvalues import INTEGER, NUMBER, OBJECT, STRING, dumps, echo, echo_repr, member, spell_object, value
+from .jsonvalues import INTEGER, NUMBER, OBJECT, STRING, brackets, dumps, echo, echo_repr, member, spell_object, value
 from .jsonvalues import load as load_json
 from .probcore import TokenAlphabet, TokenId, default_alphabet, logits_from_masses
 
@@ -90,20 +92,38 @@ def tokenize(text: str, alphabet: TokenAlphabet | None = None) -> tuple[TokenId,
     """Map text to token ids, one per character (a total function).
 
     Uppercase characters fold to lowercase; any character not in the
-    alphabet (after folding) maps to the blank token.  Each distinct
-    character is mapped once.
+    alphabet (after folding) maps to the blank token.  The ids are those of
+    :func:`_token_array`, as a tuple of ints.
+    """
+    return tuple(_token_array(text, alphabet).tolist())
+
+
+def _token_array(text: str, alphabet: TokenAlphabet | None = None) -> np.ndarray:
+    """:func:`tokenize` as an int64 array, through a table indexed by code point.
+
+    The text is read as its UTF-32 code points (``surrogatepass``, so a lone
+    surrogate, as argv hands undecodable bytes over, is one code point too).
+    The table, of the narrowest dtype that holds the alphabet's ids, spans
+    code points 0 to the text's largest; only the entries of code points in
+    the text are written, each once, and one gather maps the text.
     """
     alphabet = alphabet or default_alphabet()
     blank = alphabet.index_of(" ")
     if blank is None:
         raise ValueError("alphabet has no blank token to absorb out-of-alphabet characters")
-    table = {}
-    for ch in set(text):
-        folded = ch.lower()
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    if not codes.size:
+        return np.zeros(0, dtype=np.int64)
+    table = np.zeros(int(codes.max()) + 1, dtype=np.min_scalar_type(alphabet.size - 1))
+    table[codes] = 1  # marks the code points the text holds
+    points = np.flatnonzero(table).tolist()
+    toks = []
+    for folded in map(str.lower, map(chr, points)):
         # Some case folds expand to several characters; those are out-of-alphabet.
         tok = alphabet.index_of(folded) if len(folded) == 1 else None
-        table[ch] = blank if tok is None else tok
-    return tuple(map(table.__getitem__, text))
+        toks.append(blank if tok is None else tok)
+    table[points] = toks
+    return table[codes].astype(np.int64)
 
 
 def detokenize(tokens: Sequence[TokenId], alphabet: TokenAlphabet | None = None) -> str:
@@ -273,19 +293,36 @@ class NGramModel:
 
 def _spell_level(contexts: list[tuple[TokenId, ...]], matrix: np.ndarray, tok_keys: list[str], depth: int) -> str:
     """One order's count table, as ``to_json_dict`` holds it, spelled at
-    ``depth``: every context with a nonzero count, and its nonzero counts."""
+    ``depth``: every context with a nonzero count, and its nonzero counts.
+
+    Members go in key order, and keys sort as strings (token "10" before
+    "2"), so the cells are ranked by one key, context rank x D + token rank.
+    The table is one join: each cell is its lead and its count, the lead
+    being the separator and token key inside a context's object, or, at the
+    first cell of a context, the context's opening; the brackets come from
+    ``jsonvalues.brackets``."""
     rows, toks = np.nonzero(matrix)
+    if not rows.size:
+        return spell_object([], depth)
     ctx_keys = [",".join(map(tok_keys.__getitem__, c)) for c in contexts]
-    # Members go in key order, and keys sort as strings: token "10" before "2".
-    order = np.lexsort((_string_ranks(tok_keys)[toks], _string_ranks(ctx_keys)[rows]))
-    rows, toks = rows[order], toks[order]
-    heads = [member(key, "") for key in tok_keys]  # each token key spelled once
+    ctx_rank, tok_rank = _string_ranks(ctx_keys), _string_ranks(tok_keys)
+    # The keys are unique and nearly sorted already (context rank follows row
+    # order closely); numpy's stable sort takes such keys fastest.
+    ranked = np.argsort(ctx_rank[rows] * len(tok_keys) + tok_rank[toks], kind="stable")
+    rows, toks = rows[ranked], toks[ranked]
     counts = map(int.__repr__, matrix[rows, toks].tolist())
-    cells = list(map(str.__add__, map(heads.__getitem__, toks.tolist()), counts))
-    starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
-    ends = starts[1:] + [len(cells)]
-    return spell_object([member(ctx_keys[row], spell_object(cells[s:e], depth + 1))
-                         for row, s, e in zip(rows[starts].tolist(), starts, ends)], depth)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    opening, separator, closing = brackets("{}", depth)
+    inner_opening, inner_separator, inner_closing = brackets("{}", depth + 1)
+    heads = [member(key, "") for key in tok_keys]
+    leads = np.array([inner_separator + head for head in heads], dtype=object)[toks]
+    # A context's object opens at its first cell; the first context also opens the table.
+    opens = np.array([inner_closing + separator + member(key, inner_opening) for key in ctx_keys], dtype=object)
+    leads[starts] = opens[rows[starts]] + np.array(heads, dtype=object)[toks[starts]]
+    leads[0] = opening + member(ctx_keys[rows[0]], inner_opening) + heads[toks[0]]
+    parts = [inner_closing + closing] * (2 * len(leads) + 1)
+    parts[0:-1:2], parts[1:-1:2] = leads.tolist(), counts
+    return "".join(parts)
 
 
 def _string_ranks(keys: list[str]) -> np.ndarray:
@@ -384,6 +421,12 @@ def train_ngram(
     from the top order) so backoff conditionals are themselves exact window
     statistics.  Deterministic in its inputs.
 
+    A 1-D integer ``ndarray`` corpus is counted as it is; any other corpus
+    is read with one ``np.fromiter``, each token as ``int()`` reads it.  A
+    corpus that is too short or holds a token outside ``0 .. D-1`` goes
+    through ``int()`` token by token, which words the refusal, so an array
+    and its list are refused alike.
+
     Each order is one array pass.  Window ``i`` of order ``m`` has the row
     ``r`` of its context, so its code ``r * D + next`` is below
     ``contexts * D <= n * D`` whatever the order and the alphabet size, its
@@ -397,11 +440,14 @@ def train_ngram(
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0 (got {alpha!r})")
     size = alphabet.size
-    try:
-        # Each token as int() reads it: floats truncate, bools and numpy ints are taken.
-        toks = np.fromiter(corpus, np.int64, count=len(corpus))
-    except (OverflowError, TypeError, ValueError):  # int() and the checks below decide
-        toks = None
+    if isinstance(corpus, np.ndarray) and corpus.ndim == 1 and corpus.dtype.kind in "iu":
+        toks = corpus  # an integer array is read as is
+    else:
+        try:
+            # Each token as int() reads it: floats truncate, bools and numpy ints are taken.
+            toks = np.fromiter(corpus, np.int64, count=len(corpus))
+        except (OverflowError, TypeError, ValueError):  # int() and the checks below decide
+            toks = None
     if toks is None or toks.size < order or not (0 <= toks.min() and toks.max() < size):
         tokens = list(map(int, corpus))
         if len(tokens) < order:
@@ -410,6 +456,7 @@ def train_ngram(
             bad = next(t for t in tokens if not 0 <= t < size)
             raise ValueError(f"corpus token {bad} outside alphabet of size {size}")
         toks = np.array(tokens, dtype=np.int64)
+    toks = toks.astype(np.int64, copy=False)  # the codes below are int64
     n = toks.size
     levels: Levels = []
     contexts: list[tuple[TokenId, ...]] = [()]

@@ -50,6 +50,7 @@ from .jsonvalues import (
     OBJECT,
     _FloatSpellings,
     array_parts,
+    brackets,
     dumps,
     echo,
     member,
@@ -137,6 +138,12 @@ class SamplerConfig:
         return f"({self.temperature:g}, {self.top_k}, {self.top_p:g}, {self.min_p:g})"
 
 
+#: Philox's starting counter.  The generator copies it into its own state,
+#: and it is read-only, so no stream can change it for the next one.
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.setflags(write=False)
+
+
 class RandomStream:
     """Seeded uniform stream backed by the Philox (4x64) counter-based generator.
 
@@ -151,7 +158,8 @@ class RandomStream:
 
     def __init__(self, seed: int):
         self.seed = _check_seed(seed)
-        self._gen = np.random.Generator(np.random.Philox(self.seed))
+        # Philox's default counter is zero; given explicitly, construction is cheaper.
+        self._gen = np.random.Generator(np.random.Philox(self.seed, counter=_ZERO_COUNTER))
 
     def next_uniform(self) -> float:
         """Next pseudo-random double in [0, 1)."""
@@ -325,15 +333,30 @@ def trace_parts(traces: Sequence[SampleTrace], depth: int) -> Iterator[str]:
     A stage record equal to an earlier one of the document in stage name and
     in the bytes of both arrays is spelled once (``-0.0`` and ``0.0`` differ
     in bytes, so they stay apart): a recurring context gives the same masses.
+    So is each distinct index map, as the softmax stage's ``0 .. D-1``
+    recurs in every trace.  A record is one join of its spelled arrays and
+    its keys and brackets, which are spelled once per document.
     """
-    floats = _FloatSpellings()  # one per document, like the stage memo
+    floats = _FloatSpellings()  # one per document, like the memos
     stages: dict[tuple[str, bytes, bytes], str] = {}
+    index_maps: dict[bytes, str] = {}
+    r_open, r_sep, r_close = brackets("{}", depth + 3)
+    index_head, masses_head = r_open + member("index_map", ""), r_sep + member("masses", "")
+    # What follows the masses: the stage name, then the survivor count's key.
+    stage_tails = {name: r_sep + member("stage", spelled) + r_sep + member("survivor_count", "")
+                   for name, spelled in _SPELLED_STAGES.items()}
 
     def spell_stage(record: StageRecord) -> str:
-        key = (record.stage, record.masses.tobytes(), record.index_map.tobytes())
+        masses, index_map = record.masses, record.index_map
+        key = (record.stage, masses.tobytes(), index_map.tobytes())
         spelled = stages.get(key)
         if spelled is None:
-            spelled = stages[key] = _spell_stage(record, depth + 3, floats)
+            ids = index_maps.get(key[2])
+            if ids is None:
+                ids = index_maps[key[2]] = spell_array(list(map(int.__repr__, index_map.tolist())), depth + 4)
+            spelled = stages[key] = "".join((
+                index_head, ids, masses_head, spell_array(list(map(floats.__getitem__, masses.tolist())), depth + 4),
+                stage_tails[record.stage], int.__repr__(masses.size), r_close))
         return spelled
 
     return array_parts((spell_object([
@@ -342,15 +365,6 @@ def trace_parts(traces: Sequence[SampleTrace], depth: int) -> Iterator[str]:
         member("drawn_uniform", "null" if t.drawn_uniform is None else floats[float(t.drawn_uniform)]),
         member("stages", spell_array(list(map(spell_stage, t.stages)), depth + 2)),
     ], depth + 1) for t in traces), depth)
-
-
-def _spell_stage(record: StageRecord, depth: int, floats: _FloatSpellings) -> str:
-    return spell_object([
-        member("index_map", spell_array(list(map(int.__repr__, record.index_map.tolist())), depth + 1)),
-        member("masses", spell_array(list(map(floats.__getitem__, record.masses.tolist())), depth + 1)),
-        member("stage", _SPELLED_STAGES[record.stage]),
-        member("survivor_count", int.__repr__(record.survivor_count)),
-    ], depth)
 
 
 def sort_descending(dist: ProbabilityDistribution) -> ProbabilityDistribution:

@@ -94,6 +94,17 @@ class TestGenerate:
         assert main(args + ["--seed", "999"]) == EXIT_OK
         assert capsys.readouterr().out == first
 
+    def test_a_prompt_with_a_lone_surrogate_is_tokenized(self, model_file, capsys):
+        # argv hands undecodable bytes over as lone surrogates; each is one
+        # out-of-alphabet character, so the prompt reads as "a b".
+        assert main(["generate", str(model_file), "--prompt", "a\udcffb"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == ("ajrd.j9hbc3r  fh1lebkep91ycgo20byrtz5ep91mkyndr.9lubv0txenlkl5.2.r5jlpi ate cwi0q27 tqjl "
+                       "sat.nf016x05xjm8ve3gfsmbju sat.4s1ia4bnrslb9pd5aq9kbmhly2td7g.auy qtpc "
+                       "elnzpi8a9n.975718qdi2hif23ygwut7ltdfgnxo\n")
+        assert main(["generate", str(model_file), "--prompt", "a b"]) == EXIT_OK
+        assert capsys.readouterr().out == out
+
     def test_zero_max_len_is_a_usage_error(self, model_file, capsys):
         rc = main(["generate", str(model_file), "--max-len", "0"])
         assert rc == EXIT_USAGE

@@ -358,6 +358,21 @@ class TestWritersMatchTheDictForms:
         assert text.index('\n    "10": {') < text.index('\n    "2": {')
         assert text.index('\n        "10": 3') < text.index('\n        "2": 3')
 
+    def test_three_digit_token_keys_sort_as_strings(self):
+        # 120 glyphs: token keys "0".."119", so "100" < "11" < "2" in every table.
+        alphabet = TokenAlphabet(tuple(map(chr, range(0x100, 0x178))), eos_index=119)
+        corpus = np.random.default_rng(20).integers(0, 120, size=3000).tolist()
+        corpus += [2, 7, 0, 1, 7, 0, 11, 7, 0, 100, 7, 0, 10, 7, 0]
+        model = train_ngram(corpus, 3, 0.1, alphabet)
+        text = _model_file(model).decode("ascii")
+        for indent, opens in (("        ", ""), ("      ", "{")):  # unigram tokens, order-2 contexts
+            spots = [text.index(f'\n{indent}"{key}": {opens}') for key in ("100", "11", "2")]
+            assert spots == sorted(spots)
+        # Order-3 contexts: "," sorts before every digit.
+        spots = [text.index(f'\n      "{key}": {{') for key in ("1,7", "10,7", "100,7", "11,7", "2,7")]
+        assert spots == sorted(spots)
+        _trace_file(generate(model, SamplerConfig(1.0, 120, 0.9, seed=8), corpus[:4], max_len=30), alphabet)
+
     def test_an_empty_count_table_and_an_empty_context(self):
         doc = train_ngram(tokenize("abab cab."), 3, 0.1).to_json_dict()
         doc["counts"]["2"] = {}
@@ -432,6 +447,14 @@ class TestTraceMemoAndStream:
     def test_equal_masses_under_different_index_maps(self):
         other = ([0.5, 0.5], [1, 2])
         self._check([_sampled(*[self.HALVES] * 4), _sampled(self.HALVES, other, self.HALVES, other)])
+
+    def test_one_index_map_under_different_masses(self):
+        # The softmax stage's 0..D-1 recurs under new masses: its spelling is reused.
+        ids = [0, 1, 2]
+        text = self._check([_sampled(([0.5, 0.25, 0.25], ids), ([0.25, 0.25, 0.5], ids), ([0.2, 0.3, 0.5], ids),
+                                     ([0.5, 0.5], [1, 2])),
+                            _sampled(([0.1, 0.2, 0.7], ids), *[([0.5, 0.25, 0.25], ids)] * 3)])
+        assert text.count('"index_map": [\n            0,\n            1,\n            2\n          ]') == 7
 
     def test_negative_and_positive_zero_masses_stay_apart(self):
         minus, plus = ([-0.0, 1.0], [0, 1]), ([0.0, 1.0], [0, 1])

@@ -245,6 +245,48 @@ class TestTokenize:
         assert tokenize(text, alphabet) == reference_tokenize(text, alphabet)
 
 
+class TestTokenArray:
+    """The code-point table tokenizer ``cmd_train`` reads a corpus with,
+    against the character loop, on what ``st.characters()`` does not draw."""
+
+    ALPHABETS = [None, TokenAlphabet(tuple("ab İ¶"), 4), TokenAlphabet(tuple(" Aaß\U0001f600"), 0)]
+
+    @pytest.mark.parametrize("alphabet", ALPHABETS)
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\udcff",
+            "a\udcffb\ud800",
+            "\ud83d\ude00",  # a surrogate pair left unjoined is two code points
+            "\U0001f600",
+            "x\U0010ffff",
+            "\U0010ffffA\U0001f600a",
+            "İ ẞ ß ﬁ Σ ŉ",  # case folds that expand to two characters, and ones that do not
+            "AbC¶.\x00\n",
+        ],
+    )
+    def test_matches_the_character_loop(self, text, alphabet):
+        got = ngram._token_array(text, alphabet)
+        assert got.dtype == np.int64 and got.shape == (len(text),)
+        assert tuple(got.tolist()) == reference_tokenize(text, alphabet)
+        assert tokenize(text, alphabet) == reference_tokenize(text, alphabet)
+
+    def test_an_alphabet_without_a_blank_is_refused_for_any_text(self):
+        for text in ("", "ab"):
+            with pytest.raises(ValueError, match="no blank token"):
+                ngram._token_array(text, TokenAlphabet(tuple("ab"), 1))
+
+    def test_the_table_of_the_largest_code_point_stays_near_one_megabyte(self):
+        tracemalloc.start()
+        try:
+            ngram._token_array("\U0010ffff")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 2**20  # one uint8 entry per code point up to U+10FFFF
+
+
 class TestTrain:
     def test_unsmoothed_hand_count(self):
         m = train_ngram(tokenize("abab"), order=2, alpha=0.0)
@@ -517,6 +559,49 @@ class TestDenseMatchesReference:
             with pytest.raises(ValueError) as frozen:
                 reference_train_ngram(corpus, order, 0.1)
             assert str(shipped.value) == str(frozen.value)
+
+
+class TestArrayCorpus:
+    """``train_ngram`` counts an integer array as it is, with the same levels as
+    its tuple, and refuses a bad array with the words of its list."""
+
+    @settings(max_examples=100)
+    @given(st.lists(st.integers(0, 39), min_size=1, max_size=200), st.integers(1, 6),
+           st.sampled_from([np.int64, np.uint8, np.int32, np.uint64]))
+    def test_an_array_trains_as_its_tuple(self, corpus, order, dtype):
+        if len(corpus) < order:
+            return
+        array = np.array(corpus, dtype=dtype)
+        from_array, from_tuple = train_ngram(array, order, 0.1), train_ngram(tuple(corpus), order, 0.1)
+        assert array.tolist() == corpus  # the corpus is not written to
+        for (contexts, counts), (want_contexts, want_counts) in zip(from_array._levels, from_tuple._levels):
+            assert contexts == want_contexts
+            assert counts.dtype == want_counts.dtype == np.int64 and np.array_equal(counts, want_counts)
+
+    def test_the_tokenized_benchmark_corpus_trains_as_its_tuple(self):
+        text = ("The cat sat on the mat. A hat, 42 rats ran.¶ " * 400)[:15_000]
+        assert _dumps(train_ngram(ngram._token_array(text), 5, 0.1)) == _dumps(train_ngram(tokenize(text), 5, 0.1))
+
+    @pytest.mark.parametrize(
+        "corpus, order",
+        [
+            (np.array([0, 2**64 - 1, 3], dtype=np.uint64), 2),
+            (np.array([0, 1, -1, 5], dtype=np.int64), 2),
+            (np.array([40, 0], dtype=np.int64), 1),
+            (np.array([3], dtype=np.int64), 2),
+            (np.array([], dtype=np.int64), 1),
+        ],
+        ids=["uint64-max", "int64-minus-one", "past-the-alphabet", "too-short", "empty"],
+    )
+    def test_a_bad_array_is_refused_as_its_list(self, corpus, order):
+        with pytest.raises(ValueError) as from_array:
+            train_ngram(corpus, order, 0.1)
+        with pytest.raises(ValueError) as from_list:
+            train_ngram(corpus.tolist(), order, 0.1)
+        assert str(from_array.value) == str(from_list.value)
+        with pytest.raises(ValueError) as frozen:
+            reference_train_ngram(corpus.tolist(), order, 0.1)
+        assert str(from_array.value) == str(frozen.value)
 
 
 def _edit(doc, path, value):

@@ -118,6 +118,23 @@ class TestRandomStream:
         assert got.tolist() == [single.next_uniform() for _ in range(n)]
         assert batched.next_uniform() == single.next_uniform()  # same position after
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_matches_philox_with_its_default_counter(self, seed):
+        want = np.random.Generator(np.random.Philox(seed))
+        s = RandomStream(seed)
+        assert [s.next_uniform() for _ in range(5)] == want.random(5).tolist()
+        assert s.next_uniforms(9).tobytes() == want.random(9).tobytes()
+        assert s.next_uniform() == want.random()
+
+    def test_no_stream_moves_the_start_of_the_next(self):
+        first = RandomStream(77)
+        drawn = first.next_uniforms(1000)
+        assert not sampler._ZERO_COUNTER.any() and not sampler._ZERO_COUNTER.flags.writeable
+        with pytest.raises(ValueError):
+            sampler._ZERO_COUNTER[0] = 1
+        assert RandomStream(77).next_uniforms(1000).tobytes() == drawn.tobytes()
+        assert first._gen.bit_generator.state["state"]["counter"].any()  # the stream's own counter moved
+
     def test_frozen_anchor_values(self):
         # regression anchor: the generator algorithm is part of the contract
         s = RandomStream(42)
