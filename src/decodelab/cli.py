@@ -201,10 +201,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         corpus = _token_array(Path(args.corpus).read_text(encoding="utf-8"))
     with _phase("train: train"):
         model = train_ngram(corpus, order=p["order"], alpha=p["alpha"])
+    n_tokens = len(corpus)
+    del corpus  # corpus-sized: not held while the model is written
     with _phase("train: write"):
         model.save(args.model_out)
     log.info("trained order-%d model from %s", model.order, args.corpus)
-    print(f"tokens={len(corpus)} contexts={model.context_count()}")
+    print(f"tokens={n_tokens} contexts={model.context_count()}")
     return EXIT_OK
 
 

@@ -20,19 +20,21 @@ Smoothing and backoff semantics:
 
 Storage: the counts of each order ``m`` are one dense ``(contexts, D)``
 int64 matrix, rows in lexicographic context order, plus a map from context
-tuple to row.  Training counts an order in one array pass; ``logits_for``
-memoizes per trailing context and returns read-only arrays that callers
-share and must not write to.
+key to row.  A context is held only as its key in the model file
+(``"12,3,39,0"``, ``""`` for the empty context), so training, saving and
+loading never build a token tuple per context.  Training counts an order in
+one array pass; ``logits_for`` memoizes per trailing context and returns
+read-only arrays that callers share and must not write to.
 
 Model file: sparse JSON, ``counts[str(m)][context key][token key] = count``
 for each nonzero count.  A token key is ``str(t)`` (``_token_keys``):
 decimal, no sign, padding or leading zeros; a context key joins its tokens'
 keys with ``","`` (``""`` for the empty context).  Loading refuses any other,
 and ``jsonvalues.load`` refuses a file the decoder cannot read.  Loading
-checks each count table in whole-table passes (key lookups, value types, one
-int64 conversion, a bound on the row totals); a table that fails any of them
-is checked again entry by entry, in document order, and that loop alone words
-the refusal, naming the first bad entry.
+checks each count table in whole-table passes (one pass over the bytes of its
+keys, value types, one int64 conversion, a bound on the row totals); a table
+that fails any of them is checked again entry by entry, in document order,
+and that loop alone words the refusal, naming the first bad entry.
 
 Tokenization is per character: uppercase folds to lowercase, anything
 outside the alphabet maps to the blank token, one token per input character.
@@ -42,7 +44,7 @@ each distinct character is folded and looked up once.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -67,9 +69,10 @@ MEMO_CELLS = 2**20
 
 _INT64_MAX = 2**63 - 1
 
-#: ``levels[m-1] = (contexts, counts)``: the order-m contexts as length m-1
-#: tuples in lexicographic order, and their ``(len(contexts), D)`` counts.
-Levels = list[tuple[list[tuple[TokenId, ...]], np.ndarray]]
+#: ``levels[m-1] = (contexts, counts)``: the keys of the order-m contexts
+#: (m-1 token keys joined by ``","``) in lexicographic token order, and their
+#: ``(len(contexts), D)`` counts.
+Levels = list[tuple[list[str], np.ndarray]]
 
 
 class ModelFormatError(ValueError):
@@ -135,11 +138,10 @@ def detokenize(tokens: Sequence[TokenId], alphabet: TokenAlphabet | None = None)
 class NGramModel:
     """Immutable n-gram counts plus the smoothing/backoff conditional.
 
-    ``levels[m-1]`` holds order ``m``'s contexts (length ``m-1`` tuples in
-    lexicographic order) and their dense ``(contexts, D)`` int64 count
-    matrix, row ``i`` counting what followed context ``i``, for every order
-    ``m`` from 1 to ``order``; the lower orders exist to serve backoff
-    queries.
+    ``levels[m-1]`` holds order ``m``'s context keys (in lexicographic token
+    order) and their dense ``(contexts, D)`` int64 count matrix, row ``i``
+    counting what followed context ``i``, for every order ``m`` from 1 to
+    ``order``; the lower orders exist to serve backoff queries.
 
     ``logits_for`` memoizes its result per trailing context (the last
     ``order - 1`` tokens, or the whole context when it is shorter) and
@@ -152,7 +154,7 @@ class NGramModel:
         if not (np.isfinite(alpha) and alpha >= 0):
             raise ValueError(f"alpha must be finite and >= 0 (got {alpha!r})")
         totals = [counts.sum(axis=1).tolist() for _, counts in levels]
-        if alpha == 0 and not (levels[0][0] == [()] and totals[0][0] > 0):
+        if alpha == 0 and not (levels[0][0] == [""] and totals[0][0] > 0):
             raise ValueError("alpha = 0 needs unigram counts with a positive total")
         self.order = int(order)
         self.alpha = float(alpha)
@@ -171,10 +173,10 @@ class NGramModel:
     def conditional(self, context: Sequence[TokenId]) -> np.ndarray:
         """Smoothed next-token distribution given the trailing context."""
         d = self.alphabet.size
-        ctx = tuple(int(t) for t in context)
-        start = min(self.order, len(ctx) + 1)
-        for m in range(start, 0, -1):
-            row = self._rows[m - 1].get(ctx[len(ctx) - m + 1 :])
+        # The trailing order - 1 tokens, each spelled as a context key spells it.
+        parts = [str(int(t)) for t in context[max(0, len(context) - self.order + 1) :]]
+        for m in range(len(parts) + 1, 0, -1):
+            row = self._rows[m - 1].get(",".join(parts[len(parts) - m + 1 :]))
             total = 0 if row is None else self._totals[m - 1][row]
             if total > 0 or self.alpha > 0:
                 counts = np.zeros(d, dtype=np.int64) if row is None else self._levels[m - 1][1][row]
@@ -211,7 +213,7 @@ class NGramModel:
             ends = starts[1:] + [len(values)]
             level: dict[str, dict[str, int]] = {}
             for row, s, e in zip(rows[starts].tolist(), starts, ends):
-                level[",".join(map(tok_keys.__getitem__, contexts[row]))] = dict(zip(keys[s:e], values[s:e]))
+                level[contexts[row]] = dict(zip(keys[s:e], values[s:e]))
             counts[str(m)] = level
         return {
             "format": FORMAT_NAME,
@@ -227,22 +229,30 @@ class NGramModel:
 
     def save(self, path: str | Path) -> None:
         """Write the model file, ``json.dumps(self.to_json_dict(), sort_keys=True,
-        indent=2)`` and a newline, spelled straight from the count matrices."""
+        indent=2)`` and a newline, spelled straight from the count matrices.
+        Each count table is spelled and written in turn, so the whole file is
+        never held as one string."""
         tok_keys = _token_keys(self.alphabet.size)
         # Keys sort as strings: table "10" comes before table "2".
-        tables = [member(str(m), _spell_level(*self._levels[m - 1], tok_keys, 2))
-                  for m in sorted(range(1, self.order + 1), key=str)]
+        orders = sorted(range(1, self.order + 1), key=str)
         glyphs = [member("eos_index", dumps(self.alphabet.eos_index)),
                   member("symbols", dumps("".join(self.alphabet.symbols)))]
-        doc = spell_object([
+        # The document around the tables is spelled with a NUL in the place of
+        # each (spelled JSON escapes every control character) and split there.
+        head, *tails = spell_object([
             member("alpha", dumps(self.alpha)),
             member("alphabet", spell_object(glyphs, 1)),
-            member("counts", spell_object(tables, 1)),
+            member("counts", spell_object([member(str(m), "\0") for m in orders], 1)),
             member("format", dumps(FORMAT_NAME)),
             member("format_version", dumps(FORMAT_VERSION)),
             member("order", dumps(self.order)),
-        ], 0)
-        Path(path).write_text(doc + "\n", encoding="utf-8")
+        ], 0).split("\0")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(head)
+            for m, tail in zip(orders, tails):
+                fh.write(_spell_level(*self._levels[m - 1], tok_keys, 2))
+                fh.write(tail)
+            fh.write("\n")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "NGramModel":
@@ -291,7 +301,7 @@ class NGramModel:
         return cls.from_json_dict(load_json(path, "model file", ModelFormatError))
 
 
-def _spell_level(contexts: list[tuple[TokenId, ...]], matrix: np.ndarray, tok_keys: list[str], depth: int) -> str:
+def _spell_level(ctx_keys: list[str], matrix: np.ndarray, tok_keys: list[str], depth: int) -> str:
     """One order's count table, as ``to_json_dict`` holds it, spelled at
     ``depth``: every context with a nonzero count, and its nonzero counts.
 
@@ -304,7 +314,6 @@ def _spell_level(contexts: list[tuple[TokenId, ...]], matrix: np.ndarray, tok_ke
     rows, toks = np.nonzero(matrix)
     if not rows.size:
         return spell_object([], depth)
-    ctx_keys = [",".join(map(tok_keys.__getitem__, c)) for c in contexts]
     ctx_rank, tok_rank = _string_ranks(ctx_keys), _string_ranks(tok_keys)
     # The keys are unique and nearly sorted already (context rank follows row
     # order closely); numpy's stable sort takes such keys fastest.
@@ -333,9 +342,9 @@ def _string_ranks(keys: list[str]) -> np.ndarray:
 
 
 def _parse_level(m: int, level: dict, tok_of: dict[str, TokenId]):
-    """One order's count table: its contexts in lexicographic order and their
-    matrix.  Each key part is one ``tok_of`` lookup: only the spelling ``save``
-    writes is read, so no two keys name one context or token.
+    """One order's count table: its context keys in lexicographic token order
+    and their matrix.  Each key part must be a key of ``tok_of``: only the
+    spelling ``save`` writes is read, so no two keys name one context or token.
 
     The table is checked in bulk; if any bulk check fails, the entries are
     checked one by one, so the refusal names the first bad one."""
@@ -347,29 +356,26 @@ def _bulk_level(m: int, level: dict, tok_of: dict[str, TokenId]):
     """What ``_checked_level`` returns, from whole-table passes, or None if
     any check fails."""
     keys, tables = list(level), list(level.values())
-    if m == 1:
-        if keys not in ([], [""]):
-            return None
-        contexts, ranked = [()] * len(keys), np.arange(len(keys))
-    elif set(map(type, keys)) - {str} or set(map(str.count, keys, repeat(","))) - {m - 2}:
-        return None  # a key of m - 1 parts has m - 2 commas ("" is one empty part)
-    else:
-        parts = list(map(tok_of.get, ",".join(keys).split(",")))
-        try:  # a part that spells no token is None, which numpy refuses
-            columns = np.array(parts, dtype=np.min_scalar_type(len(tok_of))).reshape(len(keys), m - 1).T
-        except TypeError:
-            return None
-        contexts = list(zip(*[iter(parts)] * (m - 1)))
-        ranked = np.lexsort(columns[::-1])  # lexsort's last key is its primary one; narrow keys radix-sort
     if set(map(type, tables)) - {dict}:
         return None
+    if m == 1 and keys not in ([], [""]):
+        return None
+    named = keys if m > 1 else []  # the unigram's context "" has no parts
+    size = len(tok_of)
+    ids = _key_ids(named, m - 1, list(chain.from_iterable(tables)), size)
+    if ids is None:
+        return None
+    split = len(named) * (m - 1)
+    if m == 1:
+        ranked = np.arange(len(keys))
+    else:  # lexsort's last key is its primary one; narrow keys radix-sort
+        ranked = np.lexsort(ids[:split].astype(np.min_scalar_type(size)).reshape(len(keys), m - 1).T[::-1])
     counts = list(chain.from_iterable(map(dict.values, tables)))
     if set(map(type, counts)) - {int}:
         return None
     try:
-        toks = np.array(list(map(tok_of.get, chain.from_iterable(tables))), dtype=np.intp)
         values = np.array(counts, dtype=np.int64)
-    except (TypeError, OverflowError):  # a token key that spells no token, or a count past int64
+    except OverflowError:  # a count past int64
         return None
     lengths = list(map(len, tables))
     # The row totals are int64: leave a table whose rows might pass the range to the loop.
@@ -377,9 +383,44 @@ def _bulk_level(m: int, level: dict, tok_of: dict[str, TokenId]):
         return None
     rank_of = np.empty_like(ranked)
     rank_of[ranked] = np.arange(ranked.size)
-    matrix = np.zeros((len(keys), len(tok_of)), dtype=np.int64)
-    matrix[np.repeat(rank_of, lengths), toks] = values
-    return [contexts[i] for i in ranked.tolist()], matrix
+    matrix = np.zeros((len(keys), size), dtype=np.int64)
+    matrix[np.repeat(rank_of, lengths), ids[split:]] = values
+    return [keys[i] for i in ranked.tolist()], matrix
+
+
+def _key_ids(ctx_keys: list[str], width: int, tok_keys: list[str], size: int) -> np.ndarray | None:
+    """The token ids that the parts of the context keys, ``width`` parts a
+    key, and then the token keys, one part a key, spell, from one pass over
+    the bytes of the keys joined by ``";"``; or None unless every key has its
+    number of parts, each spelled as ``_token_keys(size)`` spells one: ASCII
+    digits, no leading zero, a value below ``size``.  A key holding ``";"``
+    adds a key end, so it fails too."""
+    total = len(ctx_keys) * width + len(tok_keys)
+    if not total:
+        return np.zeros(0, dtype=np.int64)
+    try:
+        text = ";".join(chain(ctx_keys, tok_keys)) + ";"
+    except TypeError:  # a key that is not a str
+        return None
+    if not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    digits = raw - ord("0")  # the bytes below "0" wrap past 9
+    ends = np.flatnonzero(digits > 9)  # every part ends at its first non-digit
+    # The byte after each part: "," inside a context key, ";" at the end of every key.
+    want = np.full(total, ord(";"), dtype=np.uint8)
+    if width > 1:
+        want[: len(ctx_keys) * width].reshape(-1, width)[:, :-1] = ord(",")
+    if ends.size != total or not np.array_equal(raw[ends], want):
+        return None
+    lengths = np.diff(ends, prepend=-1) - 1
+    places = len(str(size - 1))
+    if lengths.min() < 1 or lengths.max() > places or ((digits[ends - lengths] == 0) & (lengths > 1)).any():
+        return None  # an empty part, a part too long for a token, or a leading zero
+    ids = np.zeros(total, dtype=np.int64)
+    for place in range(places):  # the digit ``place`` bytes before each part's end, if the part has one
+        ids += digits.take(ends - 1 - place, mode="clip") * np.where(lengths > place, 10**place, 0)
+    return ids if ids.max() < size else None
 
 
 def _checked_level(m: int, level: dict, tok_of: dict[str, TokenId]):
@@ -406,7 +447,8 @@ def _checked_level(m: int, level: dict, tok_of: dict[str, TokenId]):
     matrix = np.zeros((len(contexts), len(tok_of)), dtype=np.int64)
     # Entry rows in document order, mapped to their lexicographic rank.
     matrix[np.repeat(np.argsort(ranked), lengths), toks] = values
-    return [contexts[i] for i in ranked], matrix
+    keys = list(level)
+    return [keys[i] for i in ranked], matrix
 
 
 def train_ngram(
@@ -458,8 +500,10 @@ def train_ngram(
         toks = np.array(tokens, dtype=np.int64)
     toks = toks.astype(np.int64, copy=False)  # the codes below are int64
     n = toks.size
+    tok_keys = np.array(_token_keys(size), dtype=object)
+    comma_keys = "," + tok_keys  # an object array adds its strings one by one
     levels: Levels = []
-    contexts: list[tuple[TokenId, ...]] = [()]
+    contexts = [""]
     codes = np.zeros(n, dtype=np.int64)  # every order-1 window has the empty context, row 0
     cells = 0
     for m in range(1, order + 1):
@@ -480,5 +524,7 @@ def train_ngram(
             rank -= 1
             codes = rank[codes[:-1]]
             prefix, nxt = np.divmod(np.flatnonzero(seen), size)
-            contexts = [contexts[r] + (t,) for r, t in zip(prefix.tolist(), nxt.tolist())]
+            # A key is its prefix's key, then "," and the next token's key; order 2's prefix is "".
+            keys = tok_keys[nxt] if m == 1 else np.array(contexts, dtype=object)[prefix] + comma_keys[nxt]
+            contexts = keys.tolist()
     return NGramModel(order, alpha, alphabet, levels)

@@ -210,8 +210,9 @@ def argmax_onehot(dist: ProbabilityDistribution) -> TokenId:
 def entropy(dist: ProbabilityDistribution) -> float:
     """Shannon entropy ``H = -sum_i P_i ln P_i`` in nats, with 0 ln 0 = 0."""
     p = dist.masses
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log(p), 0.0)
+    # ln p where p > 0 and 0 elsewhere, then times p: the same bits as p * ln p, without a warning to silence.
+    terms = np.log(p, out=np.zeros_like(p), where=p > 0.0)
+    terms *= p
     return float(-terms.sum())
 
 

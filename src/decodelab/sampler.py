@@ -55,7 +55,6 @@ from .jsonvalues import (
     echo,
     member,
     spell_array,
-    spell_object,
     value,
     values,
 )
@@ -330,41 +329,46 @@ def spell_traces(traces: Sequence[SampleTrace], depth: int) -> str:
 def trace_parts(traces: Sequence[SampleTrace], depth: int) -> Iterator[str]:
     """:func:`spell_traces` in parts, one per trace, spelled as they are taken.
 
-    A stage record equal to an earlier one of the document in stage name and
-    in the bytes of both arrays is spelled once (``-0.0`` and ``0.0`` differ
-    in bytes, so they stay apart): a recurring context gives the same masses.
-    So is each distinct index map, as the softmax stage's ``0 .. D-1``
-    recurs in every trace.  A record is one join of its spelled arrays and
-    its keys and brackets, which are spelled once per document.
+    Each distinct ``stages`` tuple is spelled once, and so is each distinct
+    index map: tokens staged once and drawn again share one tuple, and the
+    softmax stage's ``0 .. D-1`` is one array in every trace.  Both memos are
+    keyed by identity, and each entry holds its object, so no id is reused
+    while the document is written.  A record is one join of its spelled
+    arrays and its keys and brackets, which are spelled once per document,
+    as are the trace's own member keys.
     """
     floats = _FloatSpellings()  # one per document, like the memos
-    stages: dict[tuple[str, bytes, bytes], str] = {}
-    index_maps: dict[bytes, str] = {}
+    spelled_stages: dict[int, tuple[tuple[StageRecord, ...], str]] = {}
+    index_maps: dict[int, tuple[np.ndarray, str]] = {}
     r_open, r_sep, r_close = brackets("{}", depth + 3)
     index_head, masses_head = r_open + member("index_map", ""), r_sep + member("masses", "")
     # What follows the masses: the stage name, then the survivor count's key.
     stage_tails = {name: r_sep + member("stage", spelled) + r_sep + member("survivor_count", "")
                    for name, spelled in _SPELLED_STAGES.items()}
+    t_open, t_sep, t_close = brackets("{}", depth + 1)
+    argmax_head, token_head = t_open + member("argmax_mode", ""), t_sep + member("drawn_token", "")
+    uniform_head, stages_head = t_sep + member("drawn_uniform", ""), t_sep + member("stages", "")
 
-    def spell_stage(record: StageRecord) -> str:
+    def spell_record(record: StageRecord) -> str:
         masses, index_map = record.masses, record.index_map
-        key = (record.stage, masses.tobytes(), index_map.tobytes())
-        spelled = stages.get(key)
-        if spelled is None:
-            ids = index_maps.get(key[2])
-            if ids is None:
-                ids = index_maps[key[2]] = spell_array(list(map(int.__repr__, index_map.tolist())), depth + 4)
-            spelled = stages[key] = "".join((
-                index_head, ids, masses_head, spell_array(list(map(floats.__getitem__, masses.tolist())), depth + 4),
-                stage_tails[record.stage], int.__repr__(masses.size), r_close))
-        return spelled
+        entry = index_maps.get(id(index_map))
+        if entry is None:
+            entry = index_maps[id(index_map)] = (
+                index_map, spell_array(list(map(int.__repr__, index_map.tolist())), depth + 4))
+        return "".join((index_head, entry[1], masses_head,
+                        spell_array(list(map(floats.__getitem__, masses.tolist())), depth + 4),
+                        stage_tails[record.stage], int.__repr__(masses.size), r_close))
 
-    return array_parts((spell_object([
-        member("argmax_mode", "true" if t.argmax_mode else "false"),
-        member("drawn_token", int.__repr__(int(t.drawn_token))),
-        member("drawn_uniform", "null" if t.drawn_uniform is None else floats[float(t.drawn_uniform)]),
-        member("stages", spell_array(list(map(spell_stage, t.stages)), depth + 2)),
-    ], depth + 1) for t in traces), depth)
+    def spell_trace(t: SampleTrace) -> str:
+        entry = spelled_stages.get(id(t.stages))
+        if entry is None:
+            entry = spelled_stages[id(t.stages)] = (
+                t.stages, spell_array(list(map(spell_record, t.stages)), depth + 2))
+        u = t.drawn_uniform
+        return "".join((argmax_head, "true" if u is None else "false", token_head, int.__repr__(int(t.drawn_token)),
+                        uniform_head, "null" if u is None else floats[float(u)], stages_head, entry[1], t_close))
+
+    return array_parts(map(spell_trace, traces), depth)
 
 
 def sort_descending(dist: ProbabilityDistribution) -> ProbabilityDistribution:

@@ -8,7 +8,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from decodelab import (
@@ -523,8 +523,8 @@ class TestDenseMatchesReference:
         text = _dumps(model)
         loaded = NGramModel.from_json_dict(json.loads(text))
         assert _dumps(loaded) == text
-        for (contexts, counts), (trained_contexts, trained_counts) in zip(loaded._levels, model._levels):
-            assert contexts == trained_contexts and np.array_equal(counts, trained_counts)
+        for (keys, counts), (trained_keys, trained_counts) in zip(loaded._levels, model._levels):
+            assert keys == trained_keys and np.array_equal(counts, trained_counts)
         _same_bits(loaded, ReferenceNGramModel.from_json_dict(json.loads(text)), contexts)
 
     def test_benchmark_sized_corpus_matches(self):
@@ -763,6 +763,11 @@ def model_documents(draw):
     return doc, {str(t): t for t in range(size)}
 
 
+def _document(text, order):
+    """The document of a model trained on ``text``, and its token keys."""
+    return train_ngram(tokenize(text), order, 0.1).to_json_dict(), {str(t): t for t in range(A.size)}
+
+
 class TestBulkLoaderMatchesLoop:
     """``_parse_level`` checks a count table in bulk and falls back to the
     per-entry loop, ``_checked_level``.  On real documents and on single edits
@@ -772,7 +777,25 @@ class TestBulkLoaderMatchesLoop:
 
     VALUES = [None, True, False, -1, 0, 1, 2.5, 4.0, "1", [], {}, {"0": 1}, 2**62, 2**63 - 1, 2**63, 2**64,
               -2**63, -2**63 - 1]
-    KEYS = ["", "0", "1", "01", " 1", "+1", "-1", "40", "299", "300", "a", "1,", ",", "0,1", "1,0", "0,0,0", "0,,1"]
+    KEYS = ["", "0", "1", "01", " 1", "+1", "-1", "40", "299", "300", "a", "1,", ",", "0,1", "1,0", "0,0,0", "0,,1",
+            # Keys the byte pass must leave to the loop: non-ASCII digits, a
+            # separator or a NUL inside a key, a part too long for any token,
+            # and an empty part at either end.
+            "\u0663", "\uff11", "1;2", "1\n2", "\0", "1\0", "1" * 30, ",1", "0,1,", ",0,1"]
+
+    @staticmethod
+    def _move_a_part(level, key, other):
+        """``level`` with the last part of context ``key`` moved to the end of
+        ``other``, a context or a token key of ``key``'s counts: the table's
+        number of parts stays the same, but two keys have the wrong arity."""
+        parts = key.split(",")
+        moved = {key: ",".join(parts[:-1])}
+        if other in level:
+            moved[other] = other + "," + parts[-1]
+            return {moved.get(k, k): v for k, v in level.items()}
+        edited = {moved.get(k, k): v for k, v in level.items()}
+        edited[moved[key]] = {(other + "," + parts[-1] if t == other else t): c for t, c in level[key].items()}
+        return edited
 
     @staticmethod
     def _check_every_level(doc, tok_of):
@@ -794,7 +817,8 @@ class TestBulkLoaderMatchesLoop:
         level = doc["counts"][m_str]
         key = data.draw(st.sampled_from(sorted(level)))
         toks = sorted(level[key])
-        kind = data.draw(st.sampled_from(["count", "token", "context", "counts of a context", "row total", "extra"]))
+        kind = data.draw(st.sampled_from(["count", "token", "context", "counts of a context", "row total", "extra",
+                                          "move a part"]))
         if kind == "count":
             edited = _edit(doc, ["counts", m_str, key, data.draw(st.sampled_from(toks))],
                            data.draw(st.sampled_from(self.VALUES)))
@@ -808,9 +832,39 @@ class TestBulkLoaderMatchesLoop:
         elif kind == "row total":  # just past 2^63 - 1, or at it
             top = data.draw(st.sampled_from([2**62, 2**62 - 1, 2**63 - 1]))
             edited = _edit(doc, ["counts", m_str, key], {t: top if i == 0 else 2**62 for i, t in enumerate(toks)})
-        else:  # one more context, its key drawn like a renamed one
+        elif kind == "extra":  # one more context, its key drawn like a renamed one
             edited = _edit(doc, ["counts", m_str, data.draw(st.sampled_from(self.KEYS))], {toks[0]: 1})
+        else:  # from a context of order 2 or more to another context or to one of its token keys
+            assume(m_str != "1")
+            other = data.draw(st.sampled_from(sorted(set(level) - {key}) + toks))
+            edited = _edit(doc, ["counts", m_str], self._move_a_part(level, key, other))
         self._check_every_level(edited, tok_of)
+
+    @pytest.mark.parametrize("spelling", ["01", "007", "\u0663", "\uff11", "1;2", "1\n2", "\0", "1\0", "1" * 30,
+                                          ",1", "1,", ""])
+    def test_keys_the_byte_pass_leaves_to_the_loop(self, spelling):
+        doc, tok_of = _document("abcabd", 3)
+        for m_str, level in doc["counts"].items():
+            key = sorted(level)[-1]
+            edits = [{**level, key: {spelling: 1}}]  # a token key
+            if m_str != "1":
+                context = ",".join(key.split(",")[:-1] + [spelling])
+                edits.append({(context if k == key else k): v for k, v in level.items()})
+            m = int(m_str)
+            for edited in edits:
+                assert ngram._bulk_level(m, edited, tok_of) is None
+                outcome = _level_outcome(ngram._parse_level, m, edited, tok_of)
+                assert outcome[0] == "error" and outcome == _level_outcome(ngram._checked_level, m, edited, tok_of)
+
+    def test_a_part_moved_between_keys_is_refused(self):
+        doc, tok_of = _document("abcabd", 3)
+        level = doc["counts"]["3"]
+        first, second = sorted(level)[:2]
+        for other in (second, sorted(level[first])[0]):
+            edited = self._move_a_part(level, first, other)
+            assert ngram._bulk_level(3, edited, tok_of) is None
+            outcome = _level_outcome(ngram._parse_level, 3, edited, tok_of)
+            assert outcome[0] == "error" and outcome == _level_outcome(ngram._checked_level, 3, edited, tok_of)
 
     @settings(max_examples=150)
     @given(model_documents())

@@ -16,12 +16,15 @@ from hypothesis.extra.numpy import arrays
 from decodelab import (
     MASS_TOL,
     ProbabilityDistribution,
+    RandomStream,
+    SamplerConfig,
     TokenAlphabet,
     argmax_onehot,
     as_logits,
     default_alphabet,
     entropy,
     min_p_filter,
+    run_pipeline,
     softmax,
     top_k_filter,
     top_p_filter,
@@ -228,6 +231,26 @@ class TestEntropy:
         p = softmax(z, t)
         h = entropy(p)
         assert -1e-12 <= h <= math.log(len(p)) + 1e-9
+
+    @staticmethod
+    def _masked_product(p):
+        """The formula ``entropy`` used before: ``p * ln p`` where p > 0, else 0."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(-np.where(p > 0.0, p * np.log(p), 0.0).sum())
+
+    def test_a_final_record_with_zero_masses_keeps_its_bits(self):
+        # softmax underflows to exact zeros; in argmax mode its record is the final one
+        z = np.array([0.0, -800.0, 3.5, -1e4, 1.25, -745.2, 2.0])
+        _, trace = run_pipeline(z, SamplerConfig(0.0, 1), RandomStream(5))
+        final = trace.final
+        assert final.survivor_count == z.size and (final.masses == 0.0).sum() == 3
+        assert entropy(final).hex() == self._masked_product(final.masses).hex()
+
+    @given(arrays(np.float64, st.integers(1, 40), elements=st.sampled_from([0.0, -0.0, 1e-300, 0.5, 1.0, 3.0, 7e10])))
+    def test_zero_masses_keep_the_bits_of_the_masked_product(self, weights):
+        assume(weights.sum() > 0)
+        p = ProbabilityDistribution(weights / weights.sum())
+        assert entropy(p).hex() == self._masked_product(p.masses).hex()
 
 
 class TestRenormalize:
