@@ -18,7 +18,7 @@ import numpy as np
 from .jsonvalues import dumps, member, spell_object
 from .ngram import detokenize
 from .probcore import TokenAlphabet, TokenId
-from .sampler import RandomStream, SampleTrace, SamplerConfig, run_pipeline, trace_parts
+from .sampler import RandomStream, SampleTrace, SamplerConfig, _check_int, run_pipeline, trace_parts
 
 #: Default context window capacity.
 DEFAULT_CAPACITY = 64
@@ -130,9 +130,9 @@ def generate(
     logits, which are staged once and then only drawn from, and its tokens'
     traces share one set of stage records.  Nothing is kept between calls.
     """
-    if max_len < 1:
+    if _check_int(max_len, "max_len") < 1:
         raise ValueError(f"max_len must be >= 1 (got {max_len})")
-    buffer = ContextBuffer.from_tokens(prompt, capacity)
+    buffer = ContextBuffer.from_tokens(prompt, _check_int(capacity, "capacity"))
     rng = RandomStream(cfg.seed)
     eos = model.alphabet.eos_index
     out: list[TokenId] = []

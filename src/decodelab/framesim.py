@@ -412,7 +412,7 @@ def frame_to_pgm(frame: FrameGrid, vocab: int) -> bytes:
     f = np.asarray(frame)
     if f.ndim != 2 or not np.issubdtype(f.dtype, np.integer):
         raise ValueError("frame must be a 2-D integer array")
-    if vocab < 2:
+    if _check_int(vocab, "vocab") < 2:
         raise ValueError(f"vocabulary must hold at least 2 tokens (got {vocab})")
     if f.size and (f.min() < 0 or f.max() >= vocab):
         raise ValueError(f"frame tokens must lie in [0, {vocab})")

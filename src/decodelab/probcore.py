@@ -200,11 +200,15 @@ def softmax_masses(z: np.ndarray, temperature: float) -> np.ndarray:
 
 def argmax_onehot(dist: ProbabilityDistribution) -> TokenId:
     """Index of the most probable token; ties go to the lowest original index."""
-    masses = dist.masses
-    if masses.size == 0:
+    if dist.masses.size == 0:
         raise ValueError("cannot take the argmax of an empty distribution")
-    # The ufunc reduces skip the Python wrappers of ndarray.max and .min.
-    return int(np.minimum.reduce(dist.index_map[masses == np.maximum.reduce(masses)]))
+    return int(_lowest_argmax(dist.masses, dist.index_map))
+
+
+def _lowest_argmax(masses: np.ndarray, index_map: np.ndarray):
+    # argmax_onehot's rule along the last axis; ufunc reduces skip ndarray.max's and .min's wrappers.
+    top = masses == np.maximum.reduce(masses, -1, None, None, True)
+    return np.minimum.reduce(np.where(top, index_map, np.iinfo(np.int64).max), -1)
 
 
 def entropy(dist: ProbabilityDistribution) -> float:

@@ -23,7 +23,7 @@ mode: the pipeline is bypassed and the most probable token under
 
 :func:`run_pipeline` samples one logit vector; :func:`sample_rows` samples
 every row of a logit matrix under one config, optionally with a top-k per
-row, in a single array pass, with the same arithmetic per row, so each
+row, in a single array pass that cuts by the same private rules, so each
 row's token and trace are those of :func:`run_pipeline` given the same
 uniform and that row's k.  Given a memo, :func:`run_pipeline` stages a
 recurring ``(logits, config)`` pair once and only draws on later calls.
@@ -61,6 +61,7 @@ from .jsonvalues import (
 from .probcore import (
     ProbabilityDistribution,
     TokenId,
+    _lowest_argmax,
     argmax_onehot,
     as_logits,
     by_token_index,
@@ -381,9 +382,7 @@ def top_k_filter(sorted_dist: ProbabilityDistribution, k: int) -> ProbabilityDis
     """Keep the first ``min(k, n)`` entries of a descending-sorted distribution."""
     if k < 1:
         raise ValueError(f"top_k must satisfy k >= 1 (got {k})")
-    if k >= sorted_dist.masses.size:
-        return sorted_dist
-    return _renormalized(sorted_dist.masses[:k], sorted_dist.index_map[:k])
+    return _prefix(sorted_dist, k)
 
 
 def top_p_filter(sorted_dist: ProbabilityDistribution, top_p: float) -> ProbabilityDistribution:
@@ -393,40 +392,47 @@ def top_p_filter(sorted_dist: ProbabilityDistribution, top_p: float) -> Probabil
     survives and the kept mass is always >= ``top_p``.  Input must be sorted
     descending and normalized.
     """
-    masses = sorted_dist.masses
-    # Searching past the last entry (the total fell short of top_p by
-    # rounding) keeps everything, as does a crossing at the last entry.
-    cut = int(np.add.accumulate(masses).searchsorted(top_p)) + 1
-    if cut >= masses.size:
-        return sorted_dist
-    return _renormalized(masses[:cut], sorted_dist.index_map[:cut])
+    return _prefix(sorted_dist, _top_p_length(sorted_dist.masses, top_p))
 
 
 def min_p_filter(dist: ProbabilityDistribution, min_p: float) -> ProbabilityDistribution:
     """Keep entries whose mass is at least the absolute floor ``min_p``.
 
-    The threshold applies to the masses as given (in the pipeline: already
-    renormalized after top-p).  If nothing qualifies, the single largest
-    entry is kept (the survivor guarantee), with ties going to the lowest
-    original token index.  This is the *absolute* min-p semantics; some
-    samplers elsewhere scale the floor by the maximum mass, this one does
-    not.
+    Input must be sorted descending, so the survivors are a prefix; the
+    floor applies to the masses as given (in the pipeline: renormalized
+    after top-p).  If nothing qualifies, the single largest entry is kept
+    (the survivor guarantee), ties going to the lowest original token index.
+    This is the *absolute* min-p semantics; some samplers elsewhere scale
+    the floor by the maximum mass, this one does not.
     """
     if min_p == 0.0:  # masses are non-negative: everything survives
         return dist
-    masses, index_map = dist.masses, dist.index_map
-    keep = masses >= min_p
-    survivors = np.count_nonzero(keep)
-    if survivors == masses.size:
-        return dist
-    if survivors == 0:
+    length = _min_p_length(dist.masses, min_p)
+    if length == 0:
         return ProbabilityDistribution._unchecked(np.array([1.0]), np.array([argmax_onehot(dist)]))
-    return _renormalized(masses[keep], index_map[keep])
+    return _prefix(dist, length)
 
 
-def _renormalized(kept: np.ndarray, index_map: np.ndarray) -> ProbabilityDistribution:
-    # The one 1-D renormalization of survivors: its bits are every truncation's trace bytes.
-    return ProbabilityDistribution._unchecked(kept / np.add.reduce(kept), index_map)
+def _prefix(dist: ProbabilityDistribution, length: int) -> ProbabilityDistribution:
+    # The first `length` entries, renormalized; the input itself when that is all of them.
+    if length >= dist.masses.size:
+        return dist
+    return ProbabilityDistribution._unchecked(_renormalize(dist.masses[:length]), dist.index_map[:length])
+
+
+def _top_p_length(masses: np.ndarray, top_p: float):
+    # The cumulative masses below top_p, plus the crossing entry; a length past the end keeps everything.
+    return np.add.reduce(np.add.accumulate(masses, -1) < top_p, -1) + 1
+
+
+def _min_p_length(masses: np.ndarray, min_p: float):
+    # The masses at or above the floor: a prefix, as every renormalization keeps a row descending.
+    return np.add.reduce(masses >= min_p, -1)
+
+
+def _renormalize(kept: np.ndarray) -> np.ndarray:
+    # A kept prefix divided by its own sum: its bits are every truncation's trace bytes.
+    return kept / np.add.reduce(kept, -1, None, None, True)
 
 
 def _cdf(masses: np.ndarray, index_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -554,8 +560,7 @@ def _cut_rows(masses: np.ndarray, kept: np.ndarray, before: np.ndarray | int) ->
     out = masses.copy()
     for length in np.unique(kept[shrunk]):
         rows = np.flatnonzero(shrunk & (kept == length))
-        block = masses[rows, :length]
-        out[rows, :length] = block / np.add.reduce(block, axis=1, keepdims=True)
+        out[rows, :length] = _renormalize(masses[rows, :length])
         out[rows, length:] = 0.0
     return out
 
@@ -591,11 +596,9 @@ def sample_rows(
     (``cfg.temperature == 0``) nothing is drawn and ``u`` is not read, so
     the caller takes no uniforms (pass None).
 
-    Each stage is one array operation over all rows.  A survivor set is a
-    prefix of a row's sorted masses (the masses stay non-increasing through
-    every renormalization), so top-p and min-p are per-row prefix cuts; the
-    draw scatters the survivors back to token order, where one cumulative
-    sum per row gives the same partial sums as the sequential draw.
+    Each stage is a per-row prefix cut by the rules the public filters use,
+    one array operation over all rows; the draw scatters the survivors to
+    token order, where a cumulative sum per row gives the sequential sums.
 
     Returns the ``(N,)`` int64 tokens and, unless ``want_traces=False``, one
     trace per row.  Raises ValueError for a per-row ``top_k`` of another
@@ -643,9 +646,8 @@ def sample_rows(
     # the full width D, with zeros after each row's survivors.
     p1 = _cut_rows(ranked, n1, size)
     del ranked  # p1 is ranked itself when no row is cut
-    # Top-p keeps the shortest prefix whose cumulative mass reaches top_p (the
-    # crossing entry included); a search past the end keeps everything.
-    n2 = np.minimum(np.count_nonzero(np.add.accumulate(p1, axis=1) < cfg.top_p, axis=1) + 1, n1)
+    # Past a row's survivors its cumulative mass stays at its total: cap at n1.
+    n2 = np.minimum(_top_p_length(p1, cfg.top_p), n1)
     p2 = _cut_rows(p1, n2, n1)
     if not want_traces:
         del p1
@@ -653,15 +655,14 @@ def sample_rows(
     if cfg.min_p == 0.0:
         n3, p3 = n2, p2
     else:
-        n3 = np.count_nonzero(p2 >= cfg.min_p, axis=1)  # the zeros after the survivors never count
+        n3 = _min_p_length(p2, cfg.min_p)  # the zeros after the survivors never count
         fallback = np.flatnonzero(n3 == 0)
         if fallback.size:
             # No survivor: keep the largest mass, ties to the lowest token index.
             # Renormalizing can tie entries that were ordered apart, so the
             # winner is not always at position 0.  It moves to position 0,
             # swapping places, so each row of index_map stays a permutation.
-            top = p2[fallback]
-            best = np.where(top == top[:, :1], order[fallback], size).min(axis=1)
+            best = _lowest_argmax(p2[fallback], order[fallback])
             at = (order[fallback] == best[:, None]).argmax(axis=1)
             index_map = order.copy()
             index_map[fallback, at] = order[fallback, 0]

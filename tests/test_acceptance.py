@@ -11,10 +11,12 @@ probabilities, and binomial error analysis for the statistical bars.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from decodelab import (
     train_ngram,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 D = 40
 
 
@@ -212,9 +215,14 @@ def test_novelty_growth():
 
 @pytest.mark.criterion(10, "CLI determinism: generate and simulate are byte-identical across reruns")
 def test_cli_end_to_end_determinism(tmp_path):
+    # The child imports decodelab from this tree's src, as the test process does.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+
     def cli(*args):
         proc = subprocess.run(
             [sys.executable, "-m", "decodelab.cli", *args],
+            env=env,
             capture_output=True,
             timeout=120,
         )

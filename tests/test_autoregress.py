@@ -81,6 +81,18 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(model, K1, tokenize("a"), max_len=0)
 
+    @pytest.mark.parametrize("knob, value", [
+        ("max_len", True), ("max_len", 2.5), ("max_len", "3"),
+        ("capacity", True), ("capacity", 2.5), ("capacity", np.float64(4.0)),
+    ])
+    def test_non_integer_max_len_or_capacity_rejected(self, knob, value, monkeypatch):
+        # A bool reads as 1 and a float would truncate or fail inside the loop,
+        # so both are refused before the model is asked for a single token.
+        model = train_ngram(tokenize("abab"), order=2, alpha=0.0)
+        monkeypatch.setattr("decodelab.autoregress.run_pipeline", None)  # a draw would raise TypeError
+        with pytest.raises(ValueError, match=f"{knob} must be an integer"):
+            generate(model, K1, tokenize("a"), **{"max_len": 3, knob: value})
+
     def test_each_step_sees_previous_emissions(self):
         # order-3 context = last 2 tokens, so step 2 must see step 1's output
         model = train_ngram(tokenize("ab¶"), order=3, alpha=0.0)

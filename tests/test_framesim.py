@@ -414,6 +414,12 @@ class TestPgmRendering:
         with pytest.raises(ValueError):
             frame_to_pgm(np.array([[0.5]]), 16)
 
+    def test_rejects_non_integer_vocab(self):
+        # 16.5 would scale token 15 to gray 247, where vocab 16 gives 255.
+        for vocab in (16.5, True, np.float64(16.0), "16"):
+            with pytest.raises(ValueError, match="vocab must be an integer"):
+                frame_to_pgm(np.array([[0, 15]]), vocab)
+
 
 # -- Frozen per-patch reference -------------------------------------------------
 #

@@ -1005,6 +1005,47 @@ class TestPerRowTopK:
                 sample_rows(z, cfg, None if cfg.temperature == 0.0 else np.full(3, 0.5), top_k=ks)
 
 
+class TestRulesOnTheirBoundaries:
+    """Each kernel against the frozen reference where a knob sits exactly on a
+    cumulative mass or on a mass, and where the min-p fallback meets tied
+    maxima: cases that drawn floats almost never reach.  The kernels share
+    each rule, so checking them only against each other would miss a wrong rule."""
+
+    # zeros(4) gives masses of exactly 0.25, as does zeros(8) after a top-k of 4;
+    # SPLIT gives 0.5 to tokens 1 and 3 and about 1e-22 to the others.
+    SPLIT = np.array([-50.0, 0.0, -50.0, 0.0])
+    CASES = [
+        (np.zeros(4), SamplerConfig(1.0, 4, 0.5, 0.0), 2, 2, None),  # the cumulative mass meets 0.5 at entry 2
+        (np.zeros(8), SamplerConfig(1.0, 4, 0.5, 0.0), 2, 2, None),  # the same after a top-k cut
+        (np.zeros(4), SamplerConfig(1.0, 4, 1.0, 0.25), 4, 4, None),  # every mass sits on the floor
+        (np.zeros(4), SamplerConfig(1.0, 4, 1.0, 0.3), 4, 1, 0),  # none reach it: a 4-way tie falls to token 0
+        (SPLIT, SamplerConfig(1.0, 4, 0.75, 0.6), 2, 1, 1),  # renormalized 0.5, 0.5: token 1 of the tie
+    ]
+    UNIFORMS = [0.0, 0.4, 0.6, BELOW_ONE]
+
+    @classmethod
+    def _check(cls, z, cfg, tokens, traces, top_p_count, min_p_count, fallback):
+        ref = [reference_run_pipeline(z, cfg, ScriptedStream([u])) for u in cls.UNIFORMS]
+        assert tokens == [t for t, _ in ref]
+        assert spell_traces(traces, 0) == spell_traces([tr for _, tr in ref], 0)
+        final = traces[0].final
+        assert [s.survivor_count for s in traces[0].stages[2:]] == [top_p_count, min_p_count]
+        if fallback is not None:
+            assert (final.index_map.tolist(), final.masses.tolist()) == ([fallback], [1.0])
+        elif top_p_count == 2:
+            assert traces[0].stages[2].masses.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("z, cfg, top_p_count, min_p_count, fallback", CASES)
+    def test_run_pipeline(self, z, cfg, top_p_count, min_p_count, fallback):
+        ours = [run_pipeline(z, cfg, ScriptedStream([u])) for u in self.UNIFORMS]
+        self._check(z, cfg, [t for t, _ in ours], [tr for _, tr in ours], top_p_count, min_p_count, fallback)
+
+    @pytest.mark.parametrize("z, cfg, top_p_count, min_p_count, fallback", CASES)
+    def test_sample_rows(self, z, cfg, top_p_count, min_p_count, fallback):
+        tokens, traces = sample_rows(np.tile(z, (len(self.UNIFORMS), 1)), cfg, np.array(self.UNIFORMS))
+        self._check(z, cfg, tokens.tolist(), traces, top_p_count, min_p_count, fallback)
+
+
 class TestTraceReaderTakesWhatThePipelineWrites:
     """The trace reader refuses much that is well-typed; none of it may be a real trace."""
 
