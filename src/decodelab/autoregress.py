@@ -47,6 +47,7 @@ class ContextBuffer:
     tokens: tuple[TokenId, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_int(self.capacity, "capacity")  # a capacity of 2.5 would hold a 2-token window
         if self.capacity < 1:
             raise ValueError(f"capacity must be >= 1 (got {self.capacity})")
         if len(self.tokens) > self.capacity:
@@ -55,6 +56,7 @@ class ContextBuffer:
     @classmethod
     def from_tokens(cls, tokens: Sequence[TokenId], capacity: int) -> "ContextBuffer":
         """Seed a buffer with the last ``capacity`` tokens of a sequence."""
+        cls(capacity)  # checks the capacity before it bounds the slice
         toks = tuple(int(t) for t in tokens)
         return cls(capacity, toks[-capacity:] if len(toks) > capacity else toks)
 
@@ -63,7 +65,10 @@ class ContextBuffer:
         toks = self.tokens + (int(token),)
         if len(toks) > self.capacity:
             toks = toks[1:]
-        return ContextBuffer(self.capacity, toks)
+        # The successor of a checked buffer needs no check: __init__ is skipped.
+        buffer = object.__new__(ContextBuffer)
+        buffer.__dict__.update(capacity=self.capacity, tokens=toks)
+        return buffer
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -31,7 +31,8 @@ with its rollout's top-k.  Each rollout takes its patches' uniforms from its
 own stream in row-major order, and each patch gets the same arithmetic as
 when sampled alone, so a rollout's frames do not depend on which rollouts
 step beside it.  :func:`rollout` and :func:`predict_frame` are the
-one-rollout case of the same loop and step.  One call holds at most
+one-rollout case of the same loop and step, and only the latter asks for
+traces.  One call holds at most
 ``_CELLS_PER_CALL`` (patch, token) cells; a larger sweep runs in batches of
 whole rollouts.
 """
@@ -222,7 +223,8 @@ def _step(
     and sampled in one :func:`sample_rows` call, row ``i`` with k
     ``top_k[i]`` (None: ``cfg.top_k`` for every row).  Rollout ``r`` takes
     ``H * W`` uniforms from its own stream ``rngs[r]`` (none in argmax
-    mode), so its frame is the one it gets when stepped alone.
+    mode), so its frame is the one it gets when stepped alone.  Traces,
+    when wanted, are :func:`run_pipeline`'s staging of each patch.
     """
     at = np.arange(prev.size).reshape(prev.shape)
     # Each patch's neighbors in its own frame, in the order up, down, left, right.
@@ -246,7 +248,8 @@ def predict_frame(
     Each patch is drawn independently from its own conditional given the
     previous frame, all in one batched pass that consumes one uniform per
     patch in row-major order from the shared stream (none in argmax mode).
-    Returns the new frame and one trace per patch in the same order.
+    Returns the new frame and one trace per patch in the same order, each
+    the one :func:`run_pipeline` writes for that patch.
     """
     prev = _check_frame(world, prev)
     frames, traces = _step(world, prev[None], cfg, None, [rng], want_traces=True)

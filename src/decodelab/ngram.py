@@ -53,6 +53,7 @@ import numpy as np
 from .jsonvalues import INTEGER, NUMBER, OBJECT, STRING, brackets, dumps, echo, echo_repr, member, spell_object, value
 from .jsonvalues import load as load_json
 from .probcore import TokenAlphabet, TokenId, default_alphabet, logits_from_masses
+from .sampler import _check_int, _check_real
 
 FORMAT_NAME = "decodelab-ngram"
 FORMAT_VERSION = 1
@@ -82,6 +83,19 @@ class ModelFormatError(ValueError):
 def _token_keys(size: int) -> list[str]:
     """Token ids ``0 .. size-1`` spelled as model documents spell them."""
     return [str(t) for t in range(size)]
+
+
+def _check_order_alpha(order, alpha) -> tuple[int, float]:
+    """``order`` and ``alpha`` as an int and a float: an integer order of at
+    least 1 and a finite alpha of at least 0, not a bool, which reads as 0 or 1."""
+    order = _check_int(order, "order")
+    if order < 1:
+        raise ValueError(f"order must be >= 1 (got {order})")
+    _check_real(alpha, "alpha")
+    alpha = float(alpha)
+    if not 0.0 <= alpha < np.inf:  # NaN included
+        raise ValueError(f"alpha must be finite and >= 0 (got {alpha!r})")
+    return order, alpha
 
 
 def _check_cells(cells: int, error: type[ValueError]) -> None:
@@ -149,15 +163,12 @@ class NGramModel:
     """
 
     def __init__(self, order: int, alpha: float, alphabet: TokenAlphabet, levels: Levels):
-        if order < 1:
-            raise ValueError(f"order must be >= 1 (got {order})")
-        if not (np.isfinite(alpha) and alpha >= 0):
-            raise ValueError(f"alpha must be finite and >= 0 (got {alpha!r})")
+        order, alpha = _check_order_alpha(order, alpha)
         totals = [counts.sum(axis=1).tolist() for _, counts in levels]
         if alpha == 0 and not (levels[0][0] == [""] and totals[0][0] > 0):
             raise ValueError("alpha = 0 needs unigram counts with a positive total")
-        self.order = int(order)
-        self.alpha = float(alpha)
+        self.order = order
+        self.alpha = alpha
         self.alphabet = alphabet
         self._levels = levels
         self._totals = totals
@@ -477,10 +488,7 @@ def train_ngram(
     contexts.
     """
     alphabet = alphabet or default_alphabet()
-    if order < 1:
-        raise ValueError(f"order must be >= 1 (got {order})")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0 (got {alpha!r})")
+    order, alpha = _check_order_alpha(order, alpha)
     size = alphabet.size
     if isinstance(corpus, np.ndarray) and corpus.ndim == 1 and corpus.dtype.kind in "iu":
         toks = corpus  # an integer array is read as is

@@ -23,10 +23,10 @@ mode: the pipeline is bypassed and the most probable token under
 
 :func:`run_pipeline` samples one logit vector; :func:`sample_rows` samples
 every row of a logit matrix under one config, optionally with a top-k per
-row, in a single array pass that cuts by the same private rules, so each
-row's token and trace are those of :func:`run_pipeline` given the same
-uniform and that row's k.  Given a memo, :func:`run_pipeline` stages a
-recurring ``(logits, config)`` pair once and only draws on later calls.
+row: one array pass that cuts by the same private rules draws the tokens,
+and :func:`run_pipeline`'s own staging writes each row's trace.  Given a
+memo, :func:`run_pipeline` stages a recurring ``(logits, config)`` pair
+once and only draws on later calls.
 
 Randomness comes from :class:`RandomStream`, a Philox (4x64)
 counter-based generator.  The algorithm identity is part of the external
@@ -36,7 +36,7 @@ platform and in every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -596,9 +596,10 @@ def sample_rows(
     (``cfg.temperature == 0``) nothing is drawn and ``u`` is not read, so
     the caller takes no uniforms (pass None).
 
-    Each stage is a per-row prefix cut by the rules the public filters use,
-    one array operation over all rows; the draw scatters the survivors to
+    The tokens come from one array pass, each stage a per-row prefix cut by
+    the rules the public filters use; the draw scatters the survivors to
     token order, where a cumulative sum per row gives the sequential sums.
+    Each row's trace is :func:`run_pipeline`'s own staging of that row.
 
     Returns the ``(N,)`` int64 tokens and, unless ``want_traces=False``, one
     trace per row.  Raises ValueError for a per-row ``top_k`` of another
@@ -611,93 +612,71 @@ def sample_rows(
         raise ValueError(f"logits must form a non-empty 2-D matrix (got shape {z.shape})")
     as_logits(z.ravel())  # every entry finite
     n, size = z.shape
-    ids = token_ids(size)
     if top_k is None:
         n1 = np.full(n, min(cfg.top_k, size))
     else:
-        n1 = np.minimum(_row_ks(top_k, n), size).astype(np.int64)  # uint64 and int64 would mix to float64
+        ks = _row_ks(top_k, n)
+        n1 = np.minimum(ks, size).astype(np.int64)  # uint64 and int64 would mix to float64
     if cfg.temperature == 0.0:
-        p = softmax_masses(z, 1.0)
-        tokens = p.argmax(axis=1)  # the first maximum: ties go to the lowest index
-        if not want_traces:
-            return tokens, None
-        p.setflags(write=False)
-        return tokens, tuple(
-            _trace((_record(STAGE_SOFTMAX, p[i], ids),), int(tokens[i]), None) for i in range(n)
-        )
-    if u is None or np.shape(u) != (n,):
-        raise ValueError(f"sampling {n} rows needs {n} uniforms")
-    u = np.asarray(u, dtype=np.float64)
-    outside = ~((u >= 0.0) & (u < 1.0))  # NaN included
-    if outside.any():
-        i = int(outside.argmax())
-        raise ValueError(f"the uniform of row {i} must be in [0, 1) (got {float(u[i])!r})")
-
-    # Untraced, only the tokens leave the kernel, so each stage's masses are
-    # dropped as soon as the next stage's exist.
-    p = softmax_masses(z, cfg.temperature)
-    # A stable sort of -p orders ties by ascending token index, as in run_pipeline.
-    order = (-p).argsort(axis=1, kind="stable")
-    row = np.arange(n)[:, None]
-    ranked = p[row, order]
-    if not want_traces:
-        del p
-    # Survivor counts after top-k, top-p and min-p; every stage's masses keep
-    # the full width D, with zeros after each row's survivors.
-    p1 = _cut_rows(ranked, n1, size)
-    del ranked  # p1 is ranked itself when no row is cut
-    # Past a row's survivors its cumulative mass stays at its total: cap at n1.
-    n2 = np.minimum(_top_p_length(p1, cfg.top_p), n1)
-    p2 = _cut_rows(p1, n2, n1)
-    if not want_traces:
-        del p1
-    index_map = order
-    if cfg.min_p == 0.0:
-        n3, p3 = n2, p2
+        tokens = softmax_masses(z, 1.0).argmax(axis=1)  # the first maximum: ties go to the lowest index
     else:
-        n3 = _min_p_length(p2, cfg.min_p)  # the zeros after the survivors never count
-        fallback = np.flatnonzero(n3 == 0)
-        if fallback.size:
-            # No survivor: keep the largest mass, ties to the lowest token index.
-            # Renormalizing can tie entries that were ordered apart, so the
-            # winner is not always at position 0.  It moves to position 0,
-            # swapping places, so each row of index_map stays a permutation.
-            best = _lowest_argmax(p2[fallback], order[fallback])
-            at = (order[fallback] == best[:, None]).argmax(axis=1)
-            index_map = order.copy()
-            index_map[fallback, at] = order[fallback, 0]
-            index_map[fallback, 0] = best
-            n3[fallback] = 1  # its mass renormalizes to x / x = 1.0
-        p3 = _cut_rows(p2, n3, n2)
-    if not want_traces:
+        if u is None or np.shape(u) != (n,):
+            raise ValueError(f"sampling {n} rows needs {n} uniforms")
+        u = np.asarray(u, dtype=np.float64)
+        outside = ~((u >= 0.0) & (u < 1.0))  # NaN included
+        if outside.any():
+            i = int(outside.argmax())
+            raise ValueError(f"the uniform of row {i} must be in [0, 1) (got {float(u[i])!r})")
+
+        # Only the tokens leave the array pass, so each stage's masses are
+        # dropped as soon as the next stage's exist.
+        p = softmax_masses(z, cfg.temperature)
+        # A stable sort of -p orders ties by ascending token index, as in run_pipeline.
+        order = (-p).argsort(axis=1, kind="stable")
+        row = np.arange(n)[:, None]
+        ranked = p[row, order]
+        del p
+        # Survivor counts after top-k, top-p and min-p; every stage's masses keep
+        # the full width D, with zeros after each row's survivors.
+        p1 = _cut_rows(ranked, n1, size)
+        del ranked  # p1 is ranked itself when no row is cut
+        # Past a row's survivors its cumulative mass stays at its total: cap at n1.
+        n2 = np.minimum(_top_p_length(p1, cfg.top_p), n1)
+        p2 = _cut_rows(p1, n2, n1)
+        del p1
+        best = None
+        if cfg.min_p == 0.0:
+            n3, p3 = n2, p2
+        else:
+            n3 = _min_p_length(p2, cfg.min_p)  # the zeros after the survivors never count
+            fallback = np.flatnonzero(n3 == 0)
+            if fallback.size:
+                # No survivor: keep the largest mass, ties to the lowest token index.
+                # Renormalizing can tie entries that were ordered apart, so the
+                # winner is not always at position 0.  The draw takes position 0,
+                # whose mass renormalizes to x / x = 1.0, and the winner replaces it.
+                best = _lowest_argmax(p2[fallback], order[fallback])
+                n3[fallback] = 1
+            p3 = _cut_rows(p2, n3, n2)
         del p2
 
-    # The draw: survivors back in token order (other tokens hold 0.0, and
-    # adding 0.0 is exact), then the first survivor whose cumulative mass
-    # exceeds u; past the total, the survivor with the highest token index.
-    dense = np.empty_like(p3)
-    dense[row, index_map] = p3
-    if not want_traces:
+        # The draw: survivors back in token order (other tokens hold 0.0, and
+        # adding 0.0 is exact), then the first survivor whose cumulative mass
+        # exceeds u; past the total, the survivor with the highest token index.
+        dense = np.empty_like(p3)
+        dense[row, order] = p3
         del p3
-    # The cumulative sums are taken in place: the same sums, without a second array.
-    tokens = np.count_nonzero(np.add.accumulate(dense, axis=1, out=dense) <= u[:, None], axis=1)
-    clamped = np.flatnonzero(tokens == size)
-    if clamped.size:
-        alive = ids < n3[clamped, None]
-        tokens[clamped] = np.where(alive, index_map[clamped], -1).max(axis=1)
+        # The cumulative sums are taken in place: the same sums, without a second array.
+        tokens = np.count_nonzero(np.add.accumulate(dense, axis=1, out=dense) <= u[:, None], axis=1)
+        clamped = np.flatnonzero(tokens == size)
+        if clamped.size:
+            alive = token_ids(size) < n3[clamped, None]
+            tokens[clamped] = np.where(alive, order[clamped], -1).max(axis=1)
+        if best is not None:
+            tokens[fallback] = best
     if not want_traces:
         return tokens, None
-
-    for arr in (p, p1, p2, p3, order, index_map):
-        arr.setflags(write=False)
-    traces = []
-    for i in range(n):
-        k1, k2, k3 = n1[i], n2[i], n3[i]
-        stages = (
-            _record(STAGE_SOFTMAX, p[i], ids),
-            _record(STAGE_TOP_K, p1[i, :k1], order[i, :k1]),
-            _record(STAGE_TOP_P, p2[i, :k2], order[i, :k2]),
-            _record(STAGE_MIN_P, p3[i, :k3], index_map[i, :k3]),
-        )
-        traces.append(_trace(stages, int(tokens[i]), float(u[i])))
-    return tokens, tuple(traces)
+    # Each row's trace is run_pipeline's staging of that row, so the kernels' traces agree by construction.
+    cfgs = [cfg] * n if top_k is None else [replace(cfg, top_k=k) for k in ks.tolist()]
+    uniforms = [None] * n if cfg.temperature == 0.0 else u.tolist()
+    return tokens, tuple(_trace(_staged(z[i], cfgs[i])[0], int(tokens[i]), uniforms[i]) for i in range(n))

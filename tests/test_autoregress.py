@@ -1,5 +1,7 @@
 """Autoregressive loop: bounded context window, feedback, stop conditions."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,15 @@ class TestContextBuffer:
     def test_rejects_overfull_construction(self):
         with pytest.raises(ValueError):
             ContextBuffer(1, (a, b))
+
+    @pytest.mark.parametrize("capacity", [2.5, 3.0, True, "3", None])
+    def test_refuses_a_capacity_that_is_not_an_integer(self, capacity):
+        # 2.5 used to build a 2-token window and True a 1-token one; from_tokens failed in its slice
+        message = rf"^capacity must be an integer \(got {re.escape(repr(capacity))}\)$"
+        with pytest.raises(ValueError, match=message):
+            ContextBuffer(capacity)
+        with pytest.raises(ValueError, match=message):
+            ContextBuffer.from_tokens([1, 2, 3, 4], capacity)
 
 
 class TestGenerate:

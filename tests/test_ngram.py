@@ -318,6 +318,31 @@ class TestTrain:
         with pytest.raises(ValueError):
             train_ngram(tokenize("abab"), order=2, alpha=-0.5)
 
+    @pytest.mark.parametrize(
+        "order, alpha, message",
+        [
+            (True, 0.1, "order must be an integer (got True)"),
+            (2.5, 0.1, "order must be an integer (got 2.5)"),
+            (0, 0.1, "order must be >= 1 (got 0)"),
+            (2, True, "alpha must be a number (got True)"),
+            (2, "0.1", "alpha must be a number (got '0.1')"),
+            (2, -0.5, "alpha must be finite and >= 0 (got -0.5)"),
+            (2, float("nan"), "alpha must be finite and >= 0 (got nan)"),
+            (2, float("inf"), "alpha must be finite and >= 0 (got inf)"),
+        ],
+        ids=["bool-order", "float-order", "zero-order", "bool-alpha", "string-alpha", "negative-alpha", "nan-alpha",
+             "infinite-alpha"],
+    )
+    def test_order_and_alpha_are_refused_before_counting(self, order, alpha, message):
+        # True used to train an order-1 model and NaN to count the whole corpus first
+        corpus = tokenize("abab")
+        levels = train_ngram(corpus, order=2, alpha=0.1)._levels
+        with patch.object(np, "bincount", side_effect=AssertionError("counted")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                train_ngram(corpus, order, alpha)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NGramModel(order, alpha, A, levels)
+
     def test_training_is_deterministic(self):
         m1 = train_ngram(tokenize("the cat sat"), order=3, alpha=0.2)
         m2 = train_ngram(tokenize("the cat sat"), order=3, alpha=0.2)

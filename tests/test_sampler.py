@@ -1013,13 +1013,17 @@ class TestRulesOnTheirBoundaries:
 
     # zeros(4) gives masses of exactly 0.25, as does zeros(8) after a top-k of 4;
     # SPLIT gives 0.5 to tokens 1 and 3 and about 1e-22 to the others.
+    # NUDGED gives token 1 a mass one ulp above the others' 0.25, so the sort puts it
+    # first; a top-k of 3 renormalizes it and tokens 0 and 2 to the same 1/3.
     SPLIT = np.array([-50.0, 0.0, -50.0, 0.0])
+    NUDGED = np.array([-(2.0**-53), 0.0, -(2.0**-53), -(2.0**-53)])
     CASES = [
         (np.zeros(4), SamplerConfig(1.0, 4, 0.5, 0.0), 2, 2, None),  # the cumulative mass meets 0.5 at entry 2
         (np.zeros(8), SamplerConfig(1.0, 4, 0.5, 0.0), 2, 2, None),  # the same after a top-k cut
         (np.zeros(4), SamplerConfig(1.0, 4, 1.0, 0.25), 4, 4, None),  # every mass sits on the floor
         (np.zeros(4), SamplerConfig(1.0, 4, 1.0, 0.3), 4, 1, 0),  # none reach it: a 4-way tie falls to token 0
         (SPLIT, SamplerConfig(1.0, 4, 0.75, 0.6), 2, 1, 1),  # renormalized 0.5, 0.5: token 1 of the tie
+        (NUDGED, SamplerConfig(1.0, 3, 1.0, 0.9), 3, 1, 0),  # a 3-way tie whose token 0 sorts second
     ]
     UNIFORMS = [0.0, 0.4, 0.6, BELOW_ONE]
 
