@@ -103,11 +103,12 @@ def _grid_rows(p: dict) -> int:
 #: allocated; a size above its cap is a usage error (exit 2).  Training runs
 #: one counting pass per order.  A generated token keeps its sampling trace
 #: (a few KB) until the command ends, and a sweep runs every grid row.
-#: ``simulate`` steps its rollouts in lock-step, in batches whose sampling
+#: ``simulate`` steps its rollouts in lock-step, in batches whose staging
 #: call holds a few ``(rows, vocab)`` float64 arrays of at most 2^20 cells
 #: (``framesim._CELLS_PER_CALL``), the cells of one frame step at the
-#: ``height * width * vocab`` cap; every predicted frame of the sweep is
-#: kept until the CSV is written.
+#: ``height * width * vocab`` cap; the sweep's patch-context memo keeps at
+#: most as many cells of staged rows, and every predicted frame of the
+#: sweep is kept until the CSV is written.
 _SIZE_CAPS: dict[str, list[tuple[str, Callable[[dict], int], int]]] = {
     "train": [
         ("order", lambda p: p["order"], 32),

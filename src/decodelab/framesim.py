@@ -24,17 +24,20 @@ frame repeats its predecessor.
 Patches are sampled independently given the previous frame (there is no
 within-frame autoregression), in row-major order from the rollout's own
 random stream, so rollouts are cheap, analytic, and fully deterministic per
-seed.  The rollouts of a :func:`k_sweep` advance in lock-step: each step
-builds the conditionals of every patch of every rollout as one matrix and
-samples it in one :func:`~decodelab.sampler.sample_rows` call, each row
-with its rollout's top-k.  Each rollout takes its patches' uniforms from its
-own stream in row-major order, and each patch gets the same arithmetic as
-when sampled alone, so a rollout's frames do not depend on which rollouts
-step beside it.  :func:`rollout` and :func:`predict_frame` are the
-one-rollout case of the same loop and step, and only the latter asks for
-traces.  One call holds at most
-``_CELLS_PER_CALL`` (patch, token) cells; a larger sweep runs in batches of
-whole rollouts.
+seed.  The rollouts of a :func:`k_sweep` advance in lock-step, and one
+memo per call keeps the staged row of every patch context it has seen: the
+patch's k, its previous token and its sorted in-grid neighbor tokens,
+which alone fix its conditional.  Each step builds the conditionals of the
+contexts the memo lacks as one matrix and stages them in one call of the
+staging half of :func:`~decodelab.sampler.sample_rows`; every patch then
+draws from its context's row with its own uniform.  Each rollout takes its
+patches' uniforms from its own stream in row-major order, and each patch
+gets the same arithmetic as when sampled alone, so a rollout's frames do
+not depend on which rollouts step beside it.  :func:`rollout` and
+:func:`predict_frame` are the one-rollout case of the same loop and step,
+and only the latter asks for traces.  One staging call and the memo's
+store each hold at most ``_CELLS_PER_CALL`` (patch, token) cells; a larger
+sweep runs in batches of whole rollouts.
 """
 
 from __future__ import annotations
@@ -53,9 +56,12 @@ from .sampler import (
     _check_int,
     _check_real,
     _check_seed,
+    _draw_rows,
+    _stage_rows,
+    _staged,
+    _trace,
     derive_seed,
     run_pipeline,  # noqa: F401  (re-exported: perfbench's tracer wraps framesim.run_pipeline)
-    sample_rows,
 )
 
 #: A frame: 2-D integer array of patch tokens, shape (height, width).
@@ -69,9 +75,10 @@ _DEVIATION_HEADROOM = 0.9
 #: bias (at most 1 in size) plus four such gains rounds to a finite float.
 MAX_NEIGHBOR_GAIN = sys.float_info.max / 4
 
-#: The most (patch, token) cells that one sampling call of a lock-step
-#: rollout holds: the ``height * width * vocab`` that ``simulate`` allows
-#: a single frame step, so a sweep's working set is that of one step.
+#: The most (patch, token) cells that one staging call of a lock-step
+#: rollout holds, and that its patch-context memo keeps: the
+#: ``height * width * vocab`` that ``simulate`` allows a single frame step,
+#: so a sweep's working set is that of a few steps.
 _CELLS_PER_CALL = 2**20
 
 
@@ -208,6 +215,82 @@ def _check_frame(world: WorldModel, frame: FrameGrid) -> np.ndarray:
     return f.astype(np.int64, copy=False)
 
 
+class _PatchMemo:
+    """The staged rows of the patch contexts that one rollout call has seen.
+
+    A context is the key ``(min(k, V), previous token, sorted in-grid
+    neighbor tokens)``: a patch's conditional depends on nothing else, as
+    every neighbor adds the same gain and the order of equal adds cannot
+    change a bit, and its staged row is per-row arithmetic of that
+    conditional under the call's shared knobs.  A key is packed into one
+    int64 by mixed radix (``V`` standing for a missing neighbor); where
+    ``K * V * (V + 1)^4`` does not fit, for ``K`` distinct k values, each
+    patch is its own key and nothing is shared.  Sorted codes are looked up
+    in one ``searchsorted`` pass.  The store holds at most
+    ``_CELLS_PER_CALL`` cells, and starts over when a step's new rows do not
+    fit in what is left.
+    """
+
+    _ABSENT_KEY = np.iinfo(np.int64).max  # above every packed code: a lookup never runs off the end
+
+    def __init__(self, vocab: int, ks: np.ndarray, draws: int):
+        self.vocab = vocab
+        self.ks = np.unique(ks)  # the distinct min(k, V) of the call's rows
+        self.packed = self.ks.size * vocab * (vocab + 1) ** 4 < 2**63
+        # Rows: no more than the call has patch draws, which keeps a small call's store small.
+        self.capacity = min(_CELLS_PER_CALL // vocab, draws)
+        self.store: tuple[np.ndarray, ...] | None = None  # sampler._StagedRows, `capacity` rows
+        self._start_over()
+
+    def _start_over(self) -> None:
+        self.codes = np.array([self._ABSENT_KEY])  # sorted
+        self.slots = np.array([-1])  # the store row of each code
+        self.count = 0
+
+    def code(self, ks: np.ndarray, stay: np.ndarray, near: np.ndarray) -> np.ndarray:
+        """The key of each patch with top-k ``ks``, previous token ``stay`` and
+        ``(N, 4)`` neighbor tokens ``near`` (``V`` for none)."""
+        if not self.packed:
+            return np.arange(stay.size)
+        near = np.sort(near, axis=1)
+        code = self.ks.searchsorted(ks) * self.vocab + stay
+        for column in near.T:
+            code *= self.vocab + 1
+            code += column
+        return code
+
+    def rows(self, codes: np.ndarray, stage) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """The staged rows that patches with keys ``codes`` draw from, and each
+        patch's row in them.  ``stage(patches)`` stages the contexts of those
+        patch indices, one per key this memo has not seen."""
+        if not self.packed:  # patch keys repeat from step to step, but their contexts do not
+            self._start_over()
+        keys, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        at = self.codes.searchsorted(keys)
+        new = np.flatnonzero(self.codes[at] != keys)
+        if self.count and self.count + new.size > self.capacity:
+            self._start_over()
+            return self.rows(codes, stage)
+        slots = self.slots[at]
+        if new.size:
+            staged = stage(first[new])
+            if new.size > self.capacity:  # one step's contexts hold more than the store: draw from them as staged
+                return staged, inverse
+            if self.store is None:
+                self.store = tuple(np.empty((self.capacity,) + a.shape[1:], a.dtype) for a in staged)
+            lo, hi = self.count, self.count + new.size
+            for kept, rows in zip(self.store, staged):
+                kept[lo:hi] = rows
+            slots[new] = np.arange(lo, hi)
+            # Both runs are sorted, so the stable sort is one merge.
+            merged = np.concatenate((self.codes, keys[new]))
+            by_code = merged.argsort(kind="stable")
+            self.codes = merged[by_code]
+            self.slots = np.concatenate((self.slots, slots[new]))[by_code]
+            self.count = hi
+        return self.store, slots[inverse]
+
+
 def _step(
     world: WorldModel,
     prev: np.ndarray,
@@ -216,24 +299,49 @@ def _step(
     rngs: Sequence[RandomStream],
     *,
     want_traces: bool,
+    memo: _PatchMemo | None = None,
 ) -> tuple[np.ndarray, tuple[SampleTrace, ...] | None]:
     """Sample the next frame of every rollout in ``prev``, an ``(R, H, W)`` stack.
 
-    The conditionals of all ``R * H * W`` patches are built as one matrix
-    and sampled in one :func:`sample_rows` call, row ``i`` with k
-    ``top_k[i]`` (None: ``cfg.top_k`` for every row).  Rollout ``r`` takes
-    ``H * W`` uniforms from its own stream ``rngs[r]`` (none in argmax
-    mode), so its frame is the one it gets when stepped alone.  Traces,
-    when wanted, are :func:`run_pipeline`'s staging of each patch.
+    Patch ``i`` is sampled with k ``top_k[i]`` (None: ``cfg.top_k`` for
+    every patch).  The conditionals of the patches whose contexts ``memo``
+    has not seen (None: a fresh memo) are built as one matrix and staged in
+    one call of :func:`sampler._stage_rows`; every patch then draws from its
+    context's staged row.  Rollout ``r`` takes ``H * W`` uniforms from its
+    own stream ``rngs[r]`` (none in argmax mode), so its frame is the one it
+    gets when stepped alone.  Traces, when wanted, are :func:`run_pipeline`'s
+    staging of each patch, and need a fresh memo, which stages every patch's
+    context in this step.
     """
-    at = np.arange(prev.size).reshape(prev.shape)
-    # Each patch's neighbors in its own frame, in the order up, down, left, right.
-    rows = np.concatenate([at[:, 1:, :], at[:, :-1, :], at[:, :, 1:], at[:, :, :-1]], axis=None)
-    neighbors = np.concatenate([prev[:, :-1, :], prev[:, 1:, :], prev[:, :, :-1], prev[:, :, 1:]], axis=None)
-    z = logits_from_masses(_conditionals(world, prev.ravel(), rows, neighbors))
+    v = world.vocab
+    ks = np.full(prev.size, min(cfg.top_k, v)) if top_k is None else top_k
+    if memo is None:
+        memo = _PatchMemo(v, ks, ks.size)
+    stay = prev.ravel()
+    padded = np.full((prev.shape[0], world.height + 2, world.width + 2), v)
+    padded[:, 1:-1, 1:-1] = prev
+    # Each patch's neighbors in its own frame, up, down, left, right; V marks one off the grid.
+    near = np.stack([padded[:, :-2, 1:-1], padded[:, 2:, 1:-1], padded[:, 1:-1, :-2], padded[:, 1:-1, 2:]],
+                    axis=-1).reshape(prev.size, 4)
+    staged_here = []
+
+    def stage(patches: np.ndarray):
+        around = near[patches]
+        rows, slots = np.nonzero(around < v)
+        z = logits_from_masses(_conditionals(world, stay[patches], rows, around[rows, slots]))
+        staged_here.append((z, ks[patches]))
+        return _stage_rows(z, cfg, ks[patches])
+
+    staged, rows = memo.rows(memo.code(ks, stay, near), stage)
     patches = world.height * world.width
     u = None if cfg.temperature == 0.0 else np.concatenate([rng.next_uniforms(patches) for rng in rngs])
-    tokens, traces = sample_rows(z, cfg, u, top_k=top_k, want_traces=want_traces)
+    tokens = _draw_rows(staged, u, rows)
+    traces = None
+    if want_traces:  # a fresh memo staged every context in this step, so `rows` index its logits
+        ((z, row_ks),) = staged_here
+        stages = [_staged(z[j], replace(cfg, top_k=k))[0] for j, k in enumerate(row_ks.tolist())]
+        uniforms = [None] * prev.size if u is None else u.tolist()
+        traces = tuple(_trace(stages[j], t, x) for j, t, x in zip(rows.tolist(), tokens.tolist(), uniforms))
     return tokens.reshape(prev.shape), traces
 
 
@@ -321,14 +429,17 @@ def _rollouts(
     gives the other knobs.  Each rollout samples with its own k and from
     its own stream seeded from its config, so it equals the rollout of its
     config alone.  Rollouts run in batches of whole rollouts, as many as
-    keep one step's sampling call within ``_CELLS_PER_CALL`` cells (one, if
-    a single frame step holds more).
+    keep one step's staging call within ``_CELLS_PER_CALL`` cells (one, if
+    a single frame step holds more).  Every batch steps with the call's one
+    :class:`_PatchMemo`, so a context seen by any rollout is staged once
+    until the memo's store fills and starts over.
     """
     if _check_int(steps, "steps") < 1:
         raise ValueError(f"steps must be >= 1 (got {steps})")
     prompt_frame = _check_frame(world, prompt_frame)
     h, w, v = world.height, world.width, world.vocab
     per_call = max(1, _CELLS_PER_CALL // (h * w * v))
+    memo = _PatchMemo(v, np.array([min(c.top_k, v) for c in cfgs]), len(cfgs) * steps * h * w)
     out = []
     for start in range(0, len(cfgs), per_call):
         batch = cfgs[start : start + per_call]
@@ -337,7 +448,7 @@ def _rollouts(
         frames = np.empty((len(batch), steps + 1, h, w), dtype=np.int64)
         frames[:, 0] = prompt_frame
         for s in range(steps):
-            frames[:, s + 1], _ = _step(world, frames[:, s], batch[0], top_k, rngs, want_traces=False)
+            frames[:, s + 1], _ = _step(world, frames[:, s], batch[0], top_k, rngs, want_traces=False, memo=memo)
         frames.flags.writeable = False
         # A mean of 0/1 values is an exact count over H * W: the bits of a per-step np.mean.
         novelty = (frames[:, 1:] != frames[:, :-1]).mean(axis=(2, 3))
@@ -363,8 +474,10 @@ def k_sweep(
     rollouts of a repeated k are sampled once and given to each of its
     entries.  Every config is built, and so checked, before the first
     rollout runs.  The rollouts of every distinct k advance in lock-step,
-    one sampling call per step for each batch of whole rollouts that fits
-    in ``_CELLS_PER_CALL``.
+    in batches of whole rollouts that fit in ``_CELLS_PER_CALL``, and share
+    one patch-context memo: each step stages, in at most one call, only the
+    (k, previous token, neighbor tokens) contexts the sweep has not yet
+    seen.
     """
     if len(ks) == 0:
         raise ValueError("k sweep needs at least one k value")

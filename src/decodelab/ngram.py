@@ -291,8 +291,10 @@ class NGramModel:
                                      value(glyphs["eos_index"], INTEGER, "eos_index", ModelFormatError))
             size = alphabet.size
             counts = value(d["counts"], OBJECT, "counts", ModelFormatError)
-            # Check the table set and the matrix sizes before allocating
-            # anything, then walk the orders (not the document) in turn.
+            # Check the order, the table set and the matrix sizes before
+            # allocating anything, then walk the orders (not the document) in turn.
+            if order < 1:
+                raise ModelFormatError(f"order must be >= 1 (got {order})")
             if order != len(counts) or set(counts) != {str(m) for m in range(1, order + 1)}:
                 raise ModelFormatError(f"count tables must be exactly '1'..'{order}' (got {echo_repr(sorted(counts))})")
             _check_cells(size * sum(len(v) for v in counts.values() if isinstance(v, dict)), ModelFormatError)

@@ -24,7 +24,8 @@ mode: the pipeline is bypassed and the most probable token under
 :func:`run_pipeline` samples one logit vector; :func:`sample_rows` samples
 every row of a logit matrix under one config, optionally with a top-k per
 row: one array pass that cuts by the same private rules draws the tokens,
-and :func:`run_pipeline`'s own staging writes each row's trace.  Given a
+in a staging half whose rows a caller may keep and a draw half, and
+:func:`run_pipeline`'s own staging writes each row's trace.  Given a
 memo, :func:`run_pipeline` stages a recurring ``(logits, config)`` pair
 once and only draws on later calls.
 
@@ -92,9 +93,14 @@ def _check_int(x, name: str) -> int:
 
 def _check_real(x, name: str) -> None:
     """Refuse ``x`` unless it is a Python or numpy integer or float: a bool
-    reads as 0 or 1, so ``True`` would pass as a temperature or a top_p of 1."""
+    reads as 0 or 1, so ``True`` would pass as a temperature or a top_p of 1,
+    and a Python integer past the float range has no float to compare."""
     if not isinstance(x, (int, float, np.integer, np.floating)) or isinstance(x, bool):
         raise ValueError(f"{name} must be a number (got {x!r})")
+    try:
+        float(x)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond the float range") from None
 
 
 def _check_seed(seed) -> int:
@@ -578,6 +584,84 @@ def _row_ks(top_k, n: int) -> np.ndarray:
     return ks
 
 
+#: What the staging half of :func:`sample_rows` leaves for its draw half, one
+#: entry per row: the final stage's cumulative masses in token order (zero
+#: columns in argmax mode, which draws nothing); the draw clamp's token, the
+#: highest surviving token, for a row whose total rounds below 1 (else -1: no
+#: uniform passes that total); and the forced token: the min-p fallback
+#: winner, the argmax in argmax mode, else -1.
+_StagedRows = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _stage_rows(z: np.ndarray, cfg: SamplerConfig, n1: np.ndarray) -> _StagedRows:
+    """The staging half of :func:`sample_rows`: checked ``(N, D)`` logits in,
+    row ``i`` cut to its first ``n1[i]`` sorted entries by top-k.  Each row's
+    result is per-row arithmetic that does not depend on the other rows."""
+    n, size = z.shape
+    if cfg.temperature == 0.0:
+        best = softmax_masses(z, 1.0).argmax(axis=1)  # the first maximum: ties go to the lowest index
+        return np.empty((n, 0)), best, best
+    # Only the staged rows leave the array pass, so each stage's masses are
+    # dropped as soon as the next stage's exist.
+    p = softmax_masses(z, cfg.temperature)
+    # A stable sort of -p orders ties by ascending token index, as in run_pipeline.
+    order = (-p).argsort(axis=1, kind="stable")
+    row = np.arange(n)[:, None]
+    ranked = p[row, order]
+    del p
+    # Survivor counts after top-k, top-p and min-p; every stage's masses keep
+    # the full width D, with zeros after each row's survivors.
+    p1 = _cut_rows(ranked, n1, size)
+    del ranked  # p1 is ranked itself when no row is cut
+    # Past a row's survivors its cumulative mass stays at its total: cap at n1.
+    n2 = np.minimum(_top_p_length(p1, cfg.top_p), n1)
+    p2 = _cut_rows(p1, n2, n1)
+    del p1
+    forced = np.full(n, -1)
+    if cfg.min_p == 0.0:
+        n3, p3 = n2, p2
+    else:
+        n3 = _min_p_length(p2, cfg.min_p)  # the zeros after the survivors never count
+        fallback = np.flatnonzero(n3 == 0)
+        if fallback.size:
+            # No survivor: keep the largest mass, ties to the lowest token index.
+            # Renormalizing can tie entries that were ordered apart, so the
+            # winner is not always at position 0.  The staged row keeps position
+            # 0, whose mass renormalizes to x / x = 1.0, and the winner is forced.
+            forced[fallback] = _lowest_argmax(p2[fallback], order[fallback])
+            n3[fallback] = 1
+        p3 = _cut_rows(p2, n3, n2)
+    del p2
+    # Survivors back in token order (other tokens hold 0.0, and adding 0.0 is
+    # exact); the cumulative sums are taken in place, without a second array.
+    cum = np.empty_like(p3)
+    cum[row, order] = p3
+    del p3
+    np.add.accumulate(cum, axis=1, out=cum)
+    # Only a row whose total rounds below 1 can be passed by a uniform.
+    clamp = np.full(n, -1)
+    short = np.flatnonzero(cum[:, -1] < 1.0)
+    clamp[short] = np.where(token_ids(size) < n3[short, None], order[short], -1).max(axis=1)
+    return cum, clamp, forced
+
+
+def _draw_rows(staged: _StagedRows, u: np.ndarray | None, rows: np.ndarray | None = None) -> np.ndarray:
+    """The draw half of :func:`sample_rows`: the int64 token of each row of
+    ``staged`` (of ``rows`` of it, when given) at its uniform, None in argmax
+    mode.  The token is the first one whose cumulative mass exceeds the
+    uniform; past the total, the highest surviving token; a forced token
+    replaces either."""
+    cum, clamp, forced = staged if rows is None else (a[rows] for a in staged)
+    if u is None:
+        return forced
+    # Each row's cumulative masses never decrease, so the first one above u
+    # ends the run of those at or below it.
+    tokens = (cum > u[:, None]).argmax(axis=1)
+    clamped = np.flatnonzero(cum[:, -1] <= u)
+    tokens[clamped] = clamp[clamped]
+    return np.where(forced < 0, tokens, forced)
+
+
 def sample_rows(
     z: np.ndarray,
     cfg: SamplerConfig,
@@ -596,10 +680,12 @@ def sample_rows(
     (``cfg.temperature == 0``) nothing is drawn and ``u`` is not read, so
     the caller takes no uniforms (pass None).
 
-    The tokens come from one array pass, each stage a per-row prefix cut by
-    the rules the public filters use; the draw scatters the survivors to
-    token order, where a cumulative sum per row gives the sequential sums.
-    Each row's trace is :func:`run_pipeline`'s own staging of that row.
+    The tokens come from one array pass in two halves.  The staging half
+    cuts each stage as a per-row prefix by the rules the public filters use
+    and scatters the survivors to token order, where a cumulative sum per
+    row gives the sequential sums; the draw half searches those sums at each
+    row's uniform.  Each row's trace is :func:`run_pipeline`'s own staging
+    of that row.
 
     Returns the ``(N,)`` int64 tokens and, unless ``want_traces=False``, one
     trace per row.  Raises ValueError for a per-row ``top_k`` of another
@@ -618,7 +704,7 @@ def sample_rows(
         ks = _row_ks(top_k, n)
         n1 = np.minimum(ks, size).astype(np.int64)  # uint64 and int64 would mix to float64
     if cfg.temperature == 0.0:
-        tokens = softmax_masses(z, 1.0).argmax(axis=1)  # the first maximum: ties go to the lowest index
+        u = None
     else:
         if u is None or np.shape(u) != (n,):
             raise ValueError(f"sampling {n} rows needs {n} uniforms")
@@ -627,56 +713,10 @@ def sample_rows(
         if outside.any():
             i = int(outside.argmax())
             raise ValueError(f"the uniform of row {i} must be in [0, 1) (got {float(u[i])!r})")
-
-        # Only the tokens leave the array pass, so each stage's masses are
-        # dropped as soon as the next stage's exist.
-        p = softmax_masses(z, cfg.temperature)
-        # A stable sort of -p orders ties by ascending token index, as in run_pipeline.
-        order = (-p).argsort(axis=1, kind="stable")
-        row = np.arange(n)[:, None]
-        ranked = p[row, order]
-        del p
-        # Survivor counts after top-k, top-p and min-p; every stage's masses keep
-        # the full width D, with zeros after each row's survivors.
-        p1 = _cut_rows(ranked, n1, size)
-        del ranked  # p1 is ranked itself when no row is cut
-        # Past a row's survivors its cumulative mass stays at its total: cap at n1.
-        n2 = np.minimum(_top_p_length(p1, cfg.top_p), n1)
-        p2 = _cut_rows(p1, n2, n1)
-        del p1
-        best = None
-        if cfg.min_p == 0.0:
-            n3, p3 = n2, p2
-        else:
-            n3 = _min_p_length(p2, cfg.min_p)  # the zeros after the survivors never count
-            fallback = np.flatnonzero(n3 == 0)
-            if fallback.size:
-                # No survivor: keep the largest mass, ties to the lowest token index.
-                # Renormalizing can tie entries that were ordered apart, so the
-                # winner is not always at position 0.  The draw takes position 0,
-                # whose mass renormalizes to x / x = 1.0, and the winner replaces it.
-                best = _lowest_argmax(p2[fallback], order[fallback])
-                n3[fallback] = 1
-            p3 = _cut_rows(p2, n3, n2)
-        del p2
-
-        # The draw: survivors back in token order (other tokens hold 0.0, and
-        # adding 0.0 is exact), then the first survivor whose cumulative mass
-        # exceeds u; past the total, the survivor with the highest token index.
-        dense = np.empty_like(p3)
-        dense[row, order] = p3
-        del p3
-        # The cumulative sums are taken in place: the same sums, without a second array.
-        tokens = np.count_nonzero(np.add.accumulate(dense, axis=1, out=dense) <= u[:, None], axis=1)
-        clamped = np.flatnonzero(tokens == size)
-        if clamped.size:
-            alive = token_ids(size) < n3[clamped, None]
-            tokens[clamped] = np.where(alive, order[clamped], -1).max(axis=1)
-        if best is not None:
-            tokens[fallback] = best
+    tokens = _draw_rows(_stage_rows(z, cfg, n1), u)
     if not want_traces:
         return tokens, None
     # Each row's trace is run_pipeline's staging of that row, so the kernels' traces agree by construction.
     cfgs = [cfg] * n if top_k is None else [replace(cfg, top_k=k) for k in ks.tolist()]
-    uniforms = [None] * n if cfg.temperature == 0.0 else u.tolist()
+    uniforms = [None] * n if u is None else u.tolist()
     return tokens, tuple(_trace(_staged(z[i], cfgs[i])[0], int(tokens[i]), uniforms[i]) for i in range(n))

@@ -330,24 +330,29 @@ class TestKSweepAndNoveltyCurve:
         assert curve[0] == curve[1]
 
     def test_a_repeated_k_is_sampled_once(self, monkeypatch):
-        # 8x8 patches x 5 trials: 320 rows per step for [4], and for [4, 4] too
+        # [4, 4] stages the rows that [4] stages, and [4, 2, 4] those of [4, 2]
         rows = []
-        sample_rows = framesim.sample_rows
+        stage_rows = framesim._stage_rows
 
         def recording(z, *args, **kwargs):
             rows.append(z.shape[0])
-            return sample_rows(z, *args, **kwargs)
+            return stage_rows(z, *args, **kwargs)
 
-        monkeypatch.setattr(framesim, "sample_rows", recording)
+        monkeypatch.setattr(framesim, "_stage_rows", recording)
         w = small_world()
         prompt = random_frame(8, 8, 16, seed=10)
+        (_, once), = k_sweep(w, prompt, K1, [4], steps=3, trials=5, master_seed=6)
+        staged_once = rows.copy()
+        rows.clear()
         entries = k_sweep(w, prompt, K1, [4, 4], steps=3, trials=5, master_seed=6)
-        assert rows == [320] * 3
+        assert rows == staged_once and len(rows) == 3
+        rows.clear()
+        k_sweep(w, prompt, K1, [4, 2], steps=3, trials=5, master_seed=6)
+        staged_pair = rows.copy()
         rows.clear()
         mixed = k_sweep(w, prompt, K1, [4, 2, 4], steps=3, trials=5, master_seed=6)
-        assert rows == [640] * 3
+        assert rows == staged_pair
         assert [k for k, _ in mixed] == [4, 2, 4]
-        (_, once), = k_sweep(w, prompt, K1, [4], steps=3, trials=5, master_seed=6)
         for _, rolls in entries + mixed[::2]:
             assert len(rolls) == len(once) == 5
             for roll, ref in zip(rolls, once):
@@ -758,19 +763,25 @@ class TestLockStepSweepMatchesReference:
     def test_one_sampling_call_holds_at_most_2_20_cells(self, monkeypatch):
         # 1,024 (patch, token) cells per rollout step, so 1,028 rollouts run as a
         # batch of 1,024 and a batch of 4; one call for all would hold 2^20 + 4,096
-        calls = []
-        sample_rows = framesim.sample_rows
+        staged, steps = [], []
+        stage_rows, step = framesim._stage_rows, framesim._step
 
-        def recording(z, *args, **kwargs):
-            calls.append(z.shape)
-            return sample_rows(z, *args, **kwargs)
+        def recording_stage(z, *args, **kwargs):
+            staged.append(z.shape)
+            return stage_rows(z, *args, **kwargs)
 
-        monkeypatch.setattr(framesim, "sample_rows", recording)
+        def recording_step(world, prev, *args, **kwargs):
+            steps.append(prev.shape)
+            return step(world, prev, *args, **kwargs)
+
+        monkeypatch.setattr(framesim, "_stage_rows", recording_stage)
+        monkeypatch.setattr(framesim, "_step", recording_step)
         world = build_world(2, 2, 256, 0.5, seed=17)
         prompt = random_frame(2, 2, 256, seed=18)
         assert_sweep_is_the_reference(world, prompt, SamplerConfig(1.0, 1, 0.95, 0.001), [1, 3, 256, 300], 2, 257, 19)
-        assert max(rows * width for rows, width in calls) == framesim._CELLS_PER_CALL == 2**20
-        assert calls == [(4096, 256), (4096, 256), (16, 256), (16, 256)]
+        assert framesim._CELLS_PER_CALL == 2**20
+        assert all(width == 256 and rows * width <= 2**20 for rows, width in staged)
+        assert len(staged) <= len(steps) and steps == [(1024, 2, 2)] * 2 + [(4, 2, 2)] * 2
 
     def test_rollout_and_predict_frame_are_the_one_rollout_case(self, monkeypatch):
         calls = []
@@ -788,3 +799,82 @@ class TestLockStepSweepMatchesReference:
         frame, _ = predict_frame(world, prompt, cfg, RandomStream(26))
         np.testing.assert_array_equal(frame, roll.frames[1])
         assert calls == [(1, 8, 8)] * 4
+
+
+def context_keys(world, entries):
+    """The distinct (min(k, V), previous token, sorted in-grid neighbor tokens)
+    of every patch of every step of a sweep's rollouts, by the per-patch loop."""
+    h, w, v = world.height, world.width, world.vocab
+    keys = set()
+    for k, rolls in dict(entries).items():
+        for roll in rolls:
+            for prev in roll.frames[:-1]:
+                for i, j in itertools.product(range(h), range(w)):
+                    near = [int(prev[a, b]) for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+                            if 0 <= a < h and 0 <= b < w]
+                    keys.add((min(k, v), int(prev[i, j]), tuple(sorted(near))))
+    return keys
+
+
+class StagedRows:
+    """Records the row count of every framesim._stage_rows call."""
+
+    def __init__(self, monkeypatch):
+        self.rows = []
+        stage_rows = framesim._stage_rows
+
+        def recording(z, *args, **kwargs):
+            self.rows.append(z.shape[0])
+            return stage_rows(z, *args, **kwargs)
+
+        monkeypatch.setattr(framesim, "_stage_rows", recording)
+
+
+class TestPatchContextMemo:
+    """One _rollouts call stages each patch context once and draws every patch from its context's row."""
+
+    def test_each_distinct_context_is_staged_once(self, monkeypatch):
+        staged = StagedRows(monkeypatch)
+        world = small_world(stay=0.3, seed=31)
+        prompt = random_frame(8, 8, 16, seed=32)
+        cfg = SamplerConfig(1.0, 1, 0.95, 0.02)
+        entries = k_sweep(world, prompt, cfg, [1, 4, 16, 40], steps=6, trials=3, master_seed=33)
+        keys = context_keys(world, entries)
+        assert sum(staged.rows) == len(keys) < 4 * 3 * 6 * 64  # 16 and 40 share their contexts
+        assert len(staged.rows) == 6  # one staging call per step
+        # the memo lives in one call: the same sweep again stages the same rows
+        first = staged.rows.copy()
+        staged.rows.clear()
+        k_sweep(world, prompt, cfg, [1, 4, 16, 40], steps=6, trials=3, master_seed=33)
+        assert staged.rows == first
+
+    @pytest.mark.parametrize("rollouts_per_store", [2, 0.5], ids=["starts-over", "step-past-the-store"])
+    def test_a_small_store_gives_the_same_frames(self, monkeypatch, rollouts_per_store):
+        # The store holds _CELLS_PER_CALL cells: patched to 2 rollouts' steps it
+        # fills and starts over mid-sweep; patched to half of one, a step's new
+        # contexts can outnumber its rows and are drawn from as staged.
+        staged = StagedRows(monkeypatch)
+        world = small_world(stay=0.3, seed=34)
+        prompt = random_frame(8, 8, 16, seed=35)
+        cfg = SamplerConfig(1.0, 1, 0.9, 0.01)
+        cells = int(rollouts_per_store * 8 * 8 * 16)
+        assert_sweep_is_the_reference(world, prompt, cfg, [2, 4, 16], 6, 2, 36, cells_per_call=cells)
+        rows = staged.rows.copy()
+        assert sum(rows) > len(context_keys(world, k_sweep(world, prompt, cfg, [2, 4, 16], 6, 2, 36)))
+        assert max(rows) > cells // 16 if rollouts_per_store < 1 else max(rows) <= cells // 16
+
+    def test_a_vocabulary_past_the_packing_bound_gives_the_reference(self, monkeypatch):
+        # Two k values: the largest V with 2 * V * (V + 1)^4 < 2^63 packs a
+        # context into one int64, one more makes each patch its own key.
+        ks = [2, 10**9]
+        bound = next(v for v in itertools.count(5000) if 2 * (v + 1) * (v + 2) ** 4 >= 2**63)
+        assert framesim._PatchMemo(bound, np.array([2, bound]), 1).packed
+        assert not framesim._PatchMemo(bound + 1, np.array([2, bound + 1]), 1).packed
+        for vocab in (bound, bound + 1):
+            staged = StagedRows(monkeypatch)
+            world = build_world(2, 2, vocab, 0.5, seed=37, neighbor_gain=2.0)
+            prompt = np.array([[vocab - 1, vocab - 1], [0, vocab - 1]])
+            cfg = SamplerConfig(1.0, 1, 0.9, 0.0)
+            assert_sweep_is_the_reference(world, prompt, cfg, ks, 3, 2, 38)
+            if vocab > bound:
+                assert sum(staged.rows) == 2 * 2 * 3 * 4  # every patch of every step

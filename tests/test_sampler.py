@@ -31,6 +31,7 @@ from decodelab import (
     sort_descending,
     top_k_filter,
     top_p_filter,
+    train_ngram,
 )
 from decodelab import sampler
 from decodelab.sampler import spell_traces
@@ -92,6 +93,24 @@ class TestSamplerConfig:
         base[name] = flag
         with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a number (got {flag!r})')}$"):
             SamplerConfig(**base)
+
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["above", "below"])
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("temperature", lambda x: SamplerConfig(x, 3)),
+            ("top_p", lambda x: SamplerConfig(1.0, 3, x)),
+            ("min_p", lambda x: SamplerConfig(1.0, 3, 1.0, x)),
+            ("stay_mass", lambda x: build_world(2, 2, 4, x, seed=1)),
+            ("neighbor_gain", lambda x: build_world(2, 2, 4, 0.5, seed=1, neighbor_gain=x)),
+            ("alpha", lambda x: train_ngram([0, 1, 2], 2, x)),
+            ("drawn_uniform", lambda x: SampleTrace((), x)),
+        ],
+    )
+    def test_an_integer_past_the_float_range_is_refused(self, name, make, big):
+        # np.isfinite raised a TypeError and float() an OverflowError for these
+        with pytest.raises(ValueError, match=f"^{name} is beyond the float range$"):
+            make(big)
 
     def test_integer_and_numpy_float_knobs_are_taken(self):
         assert SamplerConfig(1, 3, 1, 0).shorthand() == "(1, 3, 1, 0)"
